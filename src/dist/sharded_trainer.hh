@@ -82,15 +82,14 @@ class ShardedTrainer
     ShardedTrainer(const nn::ModelConfig &cfg, TrainingData &data,
                    const TrainingTask &task, const Partition &part);
 
-    /** Run the loop; deterministic given cfg.seed (and thread count). */
+    /** Run the loop (nn::EpochLoop in every rank thread; rank 0 owns
+     *  the result and the checkpoint store); deterministic given the
+     *  model's seed and the data, at any thread count. */
     ShardedTrainResult run(const nn::TrainConfig &cfg);
 
     const HaloPlan &plan() const { return plan_; }
 
   private:
-    double evalMetric(const Matrix &logits,
-                      const std::vector<std::uint8_t> &mask) const;
-
     nn::ModelConfig cfg_;
     TrainingData &data_;
     const TrainingTask &task_;

@@ -120,7 +120,8 @@ namespace
 
 template <class T>
 Expected<std::vector<T>, IoError>
-getArray(const Checkpoint &ck, const std::string &name)
+getArray(const Checkpoint &ck, const std::string &name,
+         std::size_t count = Checkpoint::kAnyCount)
 {
     auto sec = ck.section(name);
     if (!sec)
@@ -131,6 +132,11 @@ getArray(const Checkpoint &ck, const std::string &name)
             IoError{IoErrorCode::CountMismatch, "", 0,
                     "checkpoint section '" + name +
                         "' size is not a multiple of the element size"});
+    if (count != Checkpoint::kAnyCount && bytes.size() != count * sizeof(T))
+        return unexpected(IoError{IoErrorCode::CountMismatch, "", 0,
+                                  "checkpoint section '" + name +
+                                      "' must hold " +
+                                      std::to_string(count) + " values"});
     std::vector<T> out(bytes.size() / sizeof(T));
     if (!out.empty())
         std::memcpy(out.data(), bytes.data(), bytes.size());
@@ -147,9 +153,9 @@ Checkpoint::setU64s(const std::string &name,
 }
 
 Expected<std::vector<std::uint64_t>, IoError>
-Checkpoint::getU64s(const std::string &name) const
+Checkpoint::getU64s(const std::string &name, std::size_t count) const
 {
-    return getArray<std::uint64_t>(*this, name);
+    return getArray<std::uint64_t>(*this, name, count);
 }
 
 void
@@ -160,9 +166,9 @@ Checkpoint::setDoubles(const std::string &name,
 }
 
 Expected<std::vector<double>, IoError>
-Checkpoint::getDoubles(const std::string &name) const
+Checkpoint::getDoubles(const std::string &name, std::size_t count) const
 {
-    return getArray<double>(*this, name);
+    return getArray<double>(*this, name, count);
 }
 
 void
@@ -198,8 +204,8 @@ Checkpoint::setMatrix(const std::string &name, const Matrix &m)
                     m.size() * sizeof(Float));
 }
 
-Expected<std::monostate, IoError>
-Checkpoint::getMatrix(const std::string &name, Matrix &m) const
+Expected<Checkpoint::MatrixShape, IoError>
+Checkpoint::matrixShape(const std::string &name) const
 {
     auto sec = section(name);
     if (!sec)
@@ -209,17 +215,31 @@ Checkpoint::getMatrix(const std::string &name, Matrix &m) const
         return fail(IoErrorCode::Truncated, "",
                     "checkpoint matrix section '" + name +
                         "' too short for its shape header");
-    const std::uint64_t rows = readRaw<std::uint64_t>(bytes.data());
-    const std::uint64_t cols = readRaw<std::uint64_t>(bytes.data() + 8);
-    if (bytes.size() != 16 + rows * cols * sizeof(Float))
+    const MatrixShape shape{readRaw<std::uint64_t>(bytes.data()),
+                            readRaw<std::uint64_t>(bytes.data() + 8)};
+    // Overflow-checked: a wrapped product could match a short payload.
+    std::uint64_t elems = 0, payload = 0;
+    if (__builtin_mul_overflow(shape.rows, shape.cols, &elems) ||
+        __builtin_mul_overflow(elems, sizeof(Float), &payload) ||
+        bytes.size() - 16 != payload)
         return fail(IoErrorCode::CountMismatch, "",
                     "checkpoint matrix section '" + name +
                         "' payload does not match its shape header");
+    return shape;
+}
+
+Expected<std::monostate, IoError>
+Checkpoint::getMatrix(const std::string &name, Matrix &m) const
+{
+    auto shape = matrixShape(name);
+    if (!shape)
+        return unexpected(std::move(shape.error()));
+    const auto [rows, cols] = shape.value();
     m.ensureShape(static_cast<std::size_t>(rows),
                   static_cast<std::size_t>(cols));
-    if (rows * cols != 0)
-        std::memcpy(m.data(), bytes.data() + 16,
-                    rows * cols * sizeof(Float));
+    if (m.size() != 0)
+        std::memcpy(m.data(), section(name).value()->data() + 16,
+                    m.size() * sizeof(Float));
     return std::monostate{};
 }
 

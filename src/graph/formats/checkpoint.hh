@@ -74,15 +74,20 @@ class Checkpoint
     void setU64(const std::string &name, std::uint64_t v);
     Expected<std::uint64_t, IoError> getU64(const std::string &name) const;
 
+    /** Array getters take an optional exact element count; a section
+     *  of any other length is a typed CountMismatch. */
+    static constexpr std::size_t kAnyCount = ~std::size_t{0};
+
     void setU64s(const std::string &name,
                  const std::vector<std::uint64_t> &v);
     Expected<std::vector<std::uint64_t>, IoError>
-    getU64s(const std::string &name) const;
+    getU64s(const std::string &name, std::size_t count = kAnyCount) const;
 
     void setDoubles(const std::string &name,
                     const std::vector<double> &v);
     Expected<std::vector<double>, IoError>
-    getDoubles(const std::string &name) const;
+    getDoubles(const std::string &name,
+               std::size_t count = kAnyCount) const;
 
     void setU32s(const std::string &name,
                  const std::vector<std::uint32_t> &v);
@@ -95,6 +100,16 @@ class Checkpoint
      *  the shape already matches). */
     Expected<std::monostate, IoError>
     getMatrix(const std::string &name, Matrix &m) const;
+
+    struct MatrixShape
+    {
+        std::uint64_t rows = 0;
+        std::uint64_t cols = 0;
+    };
+    /** Shape header of a matrix section, checked against its payload
+     *  size; typed error on a missing or inconsistent section. */
+    Expected<MatrixShape, IoError>
+    matrixShape(const std::string &name) const;
 
     /** Serialise to the container byte layout (reuses `out`'s
      *  capacity). */

@@ -2,7 +2,7 @@
  * @file
  * Trainer-state <-> Checkpoint section mapping (ISSUE 9).
  *
- * The three training loops (nn::Trainer, sample::SampledTrainer,
+ * The three trainers (nn::Trainer, sample::SampledTrainer,
  * dist::ShardedTrainer) persist the same core state: parameter values,
  * Adam moments + step count, the dropout RNG stream position, and the
  * metric trajectories accumulated so far. This file centralises the
@@ -17,8 +17,8 @@
  *   "adam.v.<i>"   matrix  second moments
  *   "adam.t"       u64     bias-correction step count
  *   "rng.drop"     u64[4]  dropout stream position
- *   "epoch"        u64     last completed epoch (written by the loops)
- *   "traj.*"       metric trajectories up to the checkpointed epoch
+ *   "epoch"        u64     last completed epoch  } written by
+ *   "traj.*"       metric trajectories          } nn::EpochLoop
  *
  * Restoring all of the above at an end-of-epoch boundary makes the
  * resumed run bitwise-equal to the uninterrupted one: the parameters,
@@ -41,62 +41,18 @@ namespace maxk::nn
 void writeModelState(formats::Checkpoint &ck, GnnModel &model,
                      const Adam &adam);
 
+/** Check that `ck` holds a complete model state for `params`: every
+ *  param / Adam moment section with the live shape, the Adam step
+ *  count and the four-word dropout stream. Changes nothing. */
+Expected<std::monostate, IoError>
+checkModelState(const formats::Checkpoint &ck, const ParamRefs &params);
+
 /** Restore params + Adam state + dropout RNG position from `ck`.
- *  Typed error when sections are missing or were written by a model
- *  with different parameter shapes. */
+ *  Validate-then-apply: on a typed error (missing section, different
+ *  parameter shapes) neither `model` nor `adam` has been touched. */
 Expected<std::monostate, IoError>
 readModelState(const formats::Checkpoint &ck, GnnModel &model,
                Adam &adam);
-
-/**
- * Trajectory persistence over any result type with the shared field
- * names (TrainResult, SampledTrainResult). The sharded loop passes its
- * embedded nn::TrainResult.
- */
-template <class R>
-void
-writeTrajectories(formats::Checkpoint &ck, const R &r)
-{
-    ck.setDoubles("traj.trainLoss", r.trainLoss);
-    ck.setDoubles("traj.valMetric", r.valMetric);
-    ck.setDoubles("traj.testMetric", r.testMetric);
-    ck.setU32s("traj.evalEpochs", r.evalEpochs);
-    ck.setDoubles("traj.best", {r.bestValMetric, r.testAtBestVal,
-                                r.finalTestMetric});
-}
-
-template <class R>
-Expected<std::monostate, IoError>
-readTrajectories(const formats::Checkpoint &ck, R &r)
-{
-    auto loss = ck.getDoubles("traj.trainLoss");
-    if (!loss)
-        return unexpected(std::move(loss.error()));
-    auto val = ck.getDoubles("traj.valMetric");
-    if (!val)
-        return unexpected(std::move(val.error()));
-    auto test = ck.getDoubles("traj.testMetric");
-    if (!test)
-        return unexpected(std::move(test.error()));
-    auto epochs = ck.getU32s("traj.evalEpochs");
-    if (!epochs)
-        return unexpected(std::move(epochs.error()));
-    auto best = ck.getDoubles("traj.best");
-    if (!best)
-        return unexpected(std::move(best.error()));
-    if (best.value().size() != 3)
-        return unexpected(IoError{
-            IoErrorCode::CountMismatch, "", 0,
-            "checkpoint section 'traj.best' must hold three doubles"});
-    r.trainLoss = std::move(loss.value());
-    r.valMetric = std::move(val.value());
-    r.testMetric = std::move(test.value());
-    r.evalEpochs = std::move(epochs.value());
-    r.bestValMetric = best.value()[0];
-    r.testAtBestVal = best.value()[1];
-    r.finalTestMetric = best.value()[2];
-    return std::monostate{};
-}
 
 } // namespace maxk::nn
 

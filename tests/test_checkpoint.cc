@@ -13,7 +13,11 @@
  *    run killed at epoch k by an injected fault and resumed from its
  *    checkpoints finishes with trajectories and final logits bitwise
  *    equal to the uninterrupted run — dropout enabled, so the RNG
- *    stream positions must genuinely persist and restore.
+ *    stream positions must genuinely persist and restore;
+ *  - one resume policy: an image the trainer rejects leaves no trace,
+ *    so the run is bitwise-equal to a fresh one;
+ *  - the per-epoch fault hook is visited once per epoch, fresh or
+ *    resumed, on every rank of every engine.
  */
 
 #include <gtest/gtest.h>
@@ -132,13 +136,20 @@ TEST(Checkpoint, TypedSectionsRoundTripThroughDisk)
 
 TEST(Checkpoint, MissingAndMistypedSectionsAreTypedErrors)
 {
-    const formats::Checkpoint ck = sampleCheckpoint();
+    formats::Checkpoint ck = sampleCheckpoint();
     EXPECT_FALSE(ck.getU64("absent").hasValue());
     EXPECT_FALSE(ck.section("absent").hasValue());
     // A 4-word section read as a single u64 must fail, not misparse.
     EXPECT_FALSE(ck.getU64("rng.drop").hasValue());
     Matrix m;
     EXPECT_FALSE(ck.getMatrix("epoch", m).hasValue());
+    // Shape header rows=2^62, cols=1 with no payload: rows*cols*4 wraps
+    // to 0, which an unchecked product would accept as consistent.
+    const std::uint64_t overflow[2] = {std::uint64_t{1} << 62, 1};
+    ck.set("overflow", overflow, sizeof overflow);
+    auto wrapped = ck.getMatrix("overflow", m);
+    ASSERT_FALSE(wrapped.hasValue());
+    EXPECT_EQ(wrapped.error().code, IoErrorCode::CountMismatch);
 }
 
 TEST(Checkpoint, TruncationAtEveryPrefixLengthIsDetected)
@@ -470,6 +481,231 @@ TEST(Recovery, ShardedTrainerRankKillResumeIsBitwise)
     EXPECT_EQ(got.train.finalTestMetric, ref.train.finalTestMetric);
     EXPECT_TRUE(got.finalLogits.equals(ref.finalLogits));
 }
+
+/** Rewrite the newest `basename` image in `dir` through `edit`. The
+ *  checksums stay valid, so only the trainer's own validation can
+ *  reject the edited image. */
+template <class Edit>
+void
+editNewestImage(const std::string &dir, const char *basename, Edit edit)
+{
+    formats::CheckpointStore store(dir, basename, 8);
+    auto latest = store.loadLatest();
+    ASSERT_TRUE(latest.hasValue()) << latest.error().describe();
+    formats::Checkpoint ck = std::move(latest.value().checkpoint);
+    edit(ck);
+    ASSERT_TRUE(ck.save(store.pathFor(latest.value().epoch)).hasValue());
+}
+
+void
+damageBest(formats::Checkpoint &ck)
+{
+    ck.setDoubles("traj.best", {0.5, 0.5}); // must hold three doubles
+}
+
+TEST(Recovery, TrainerRejectedImageStartsTrulyFresh)
+{
+    ScopedDir dir("trainer-reject");
+    const TrainingTask task = smallTask(300);
+    Rng rng(66);
+    TrainingData data = materializeTrainingData(task, rng);
+    const nn::ModelConfig cfg = smallModel(task);
+
+    nn::TrainConfig tc;
+    tc.epochs = 4;
+    tc.evalEvery = 2;
+    nn::GnnModel ref_model(cfg);
+    nn::Trainer ref_trainer(ref_model, data, task);
+    const nn::TrainResult ref = ref_trainer.run(tc);
+
+    tc.checkpointDir = dir.path;
+    {
+        nn::GnnModel model(cfg);
+        nn::Trainer trainer(model, data, task);
+        trainer.run(tc);
+    }
+    editNewestImage(dir.path, "trainer", damageBest);
+
+    // The image is rejected, so the run must not keep any of its state.
+    nn::GnnModel model(cfg);
+    nn::Trainer trainer(model, data, task);
+    const nn::TrainResult got = trainer.run(tc);
+    EXPECT_EQ(got.trainLoss, ref.trainLoss);
+    EXPECT_EQ(got.evalEpochs, ref.evalEpochs);
+    EXPECT_EQ(got.valMetric, ref.valMetric);
+    EXPECT_EQ(got.testMetric, ref.testMetric);
+    EXPECT_EQ(got.bestValMetric, ref.bestValMetric);
+    EXPECT_EQ(got.testAtBestVal, ref.testAtBestVal);
+}
+
+TEST(Recovery, SampledTrainerRejectedImageStartsTrulyFresh)
+{
+    ScopedDir dir("sampled-reject");
+    const TrainingTask task = smallTask(300);
+    Rng rng(67);
+    TrainingData data = materializeTrainingData(task, rng);
+    const nn::ModelConfig cfg = smallModel(task);
+
+    sample::SamplerConfig scfg;
+    scfg.fanouts = {4, 4};
+    scfg.batchSize = 32;
+    scfg.seed = 98;
+
+    sample::SampledTrainConfig tc;
+    tc.epochs = 4;
+    tc.evalEvery = 2;
+    sample::SampledTrainResult ref;
+    {
+        nn::GnnModel model(cfg);
+        sample::SampledTrainer trainer(model, data, task, scfg);
+        ref = trainer.run(tc);
+    }
+
+    tc.checkpointDir = dir.path;
+    {
+        nn::GnnModel model(cfg);
+        sample::SampledTrainer trainer(model, data, task, scfg);
+        trainer.run(tc);
+    }
+    editNewestImage(dir.path, "sampled", damageBest);
+
+    nn::GnnModel model(cfg);
+    sample::SampledTrainer trainer(model, data, task, scfg);
+    const sample::SampledTrainResult got = trainer.run(tc);
+    EXPECT_EQ(got.trainLoss, ref.trainLoss);
+    EXPECT_EQ(got.valMetric, ref.valMetric);
+    EXPECT_EQ(got.testMetric, ref.testMetric);
+    EXPECT_EQ(got.batchesTrained, ref.batchesTrained);
+    EXPECT_EQ(got.sampledNodes, ref.sampledNodes);
+    EXPECT_TRUE(got.finalLogits.equals(ref.finalLogits));
+}
+
+TEST(Recovery, ShardedTrainerRejectedImageStartsTrulyFresh)
+{
+    ScopedDir dir("sharded-reject");
+    const TrainingTask task = smallTask(400);
+    Rng rng(68);
+    TrainingData data = materializeTrainingData(task, rng);
+    const nn::ModelConfig cfg = smallModel(task);
+    Rng prng(69);
+    const Partition parts = bfsPartition(data.graph, 2, prng);
+
+    nn::TrainConfig tc;
+    tc.epochs = 4;
+    tc.evalEvery = 2;
+    dist::ShardedTrainer ref_trainer(cfg, data, task, parts);
+    const dist::ShardedTrainResult ref = ref_trainer.run(tc);
+
+    tc.checkpointDir = dir.path;
+    {
+        dist::ShardedTrainer trainer(cfg, data, task, parts);
+        trainer.run(tc);
+    }
+    // Rank 1's dropout stream loses two of its four words.
+    editNewestImage(dir.path, "sharded", [](formats::Checkpoint &ck) {
+        ck.setU64s("rng.rank1", {1, 2});
+    });
+
+    dist::ShardedTrainer trainer(cfg, data, task, parts);
+    const dist::ShardedTrainResult got = trainer.run(tc);
+    EXPECT_EQ(got.train.trainLoss, ref.train.trainLoss);
+    EXPECT_EQ(got.train.valMetric, ref.train.valMetric);
+    EXPECT_TRUE(got.finalLogits.equals(ref.finalLogits));
+}
+
+/* ------------------------------------------ per-epoch hook contract */
+
+enum class Engine { FullBatch, Sampled, Sharded };
+
+/**
+ * The epoch-start fault hook of every engine is visited exactly once
+ * per epoch run (on every rank), fresh or resumed: epoch clocks that
+ * poll the hook depend on it. The injector is armed with a spec that
+ * never fires, so it counts visits without changing the run.
+ */
+class EpochHookContract : public ::testing::TestWithParam<Engine>
+{
+  protected:
+    /** Train `epochs` epochs with checkpoints in `dir`; returns the
+     *  hook site and rank count. */
+    std::pair<const char *, std::uint32_t>
+    train(std::uint32_t epochs, const std::string &dir,
+          FaultInjector &inj)
+    {
+        nn::LoopConfig loop;
+        loop.epochs = epochs;
+        loop.evalEvery = 2;
+        loop.checkpointDir = dir;
+        loop.faults = &inj;
+        switch (GetParam()) {
+          case Engine::FullBatch: {
+            nn::TrainConfig tc;
+            static_cast<nn::LoopConfig &>(tc) = loop;
+            nn::GnnModel model(cfg_);
+            nn::Trainer(model, data_, task_).run(tc);
+            return {"trainer.epoch", 1};
+          }
+          case Engine::Sampled: {
+            sample::SampledTrainConfig tc;
+            static_cast<nn::LoopConfig &>(tc) = loop;
+            sample::SamplerConfig scfg;
+            scfg.fanouts = {4, 4};
+            scfg.batchSize = 64;
+            nn::GnnModel model(cfg_);
+            sample::SampledTrainer(model, data_, task_, scfg).run(tc);
+            return {"sampled_trainer.epoch", 1};
+          }
+          case Engine::Sharded: {
+            nn::TrainConfig tc;
+            static_cast<nn::LoopConfig &>(tc) = loop;
+            dist::ShardedTrainer(cfg_, data_, task_, parts_).run(tc);
+            return {"sharded.epoch", parts_.numParts};
+          }
+        }
+        return {"", 0};
+    }
+
+    static FaultInjector
+    countingInjector()
+    {
+        FaultSpec never;
+        never.kind = FaultKind::RankThrow;
+        never.site = "never.visited";
+        return FaultInjector(FaultPlan().add(std::move(never)));
+    }
+
+    const TrainingTask task_ = smallTask(300);
+    Rng rng_{70};
+    TrainingData data_ = materializeTrainingData(task_, rng_);
+    const nn::ModelConfig cfg_ = smallModel(task_);
+    Rng prng_{71};
+    const Partition parts_ = bfsPartition(data_.graph, 2, prng_);
+};
+
+TEST_P(EpochHookContract, OneVisitPerEpochFreshAndResumed)
+{
+    ScopedDir dir("hooks");
+    FaultInjector fresh = countingInjector();
+    const auto [site, ranks] = train(3, dir.path, fresh);
+    FaultInjector resumed = countingInjector();
+    train(5, dir.path, resumed); // resumes after epoch 2
+    for (std::uint32_t r = 0; r < ranks; ++r) {
+        EXPECT_EQ(fresh.visits(site, r), 3u) << site << " rank " << r;
+        EXPECT_EQ(resumed.visits(site, r), 2u) << site << " rank " << r;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, EpochHookContract,
+    ::testing::Values(Engine::FullBatch, Engine::Sampled, Engine::Sharded),
+    [](const ::testing::TestParamInfo<Engine> &info) {
+        switch (info.param) {
+          case Engine::FullBatch: return "FullBatch";
+          case Engine::Sampled: return "Sampled";
+          case Engine::Sharded: return "Sharded";
+        }
+        return "Unknown";
+    });
 
 } // namespace
 } // namespace maxk

@@ -46,7 +46,12 @@
 #include "sample/sampled_trainer.hh"
 #include "serve/session.hh"
 
+#include "scenario.hh"
+
 using namespace maxk;
+using tools::check;
+using tools::smallModel;
+using tools::smallTask;
 
 namespace
 {
@@ -77,31 +82,6 @@ usage(const char *argv0)
     return 2;
 }
 
-/** Flickr accuracy twin scaled down to CLI size. */
-TrainingTask
-smallTask(NodeId nodes)
-{
-    TrainingTask task = *findTrainingTask("Flickr");
-    task.accuracyNodes = nodes;
-    task.accuracyAvgDegree = 8.0;
-    return task;
-}
-
-nn::ModelConfig
-smallModel(const TrainingTask &task)
-{
-    nn::ModelConfig cfg;
-    cfg.kind = nn::GnnKind::Sage;
-    cfg.nonlin = nn::Nonlinearity::MaxK;
-    cfg.maxkK = 8;
-    cfg.numLayers = 2;
-    cfg.inDim = task.featureDim;
-    cfg.hiddenDim = 32;
-    cfg.outDim = task.numClasses;
-    cfg.dropout = 0.2f;
-    return cfg;
-}
-
 /** Print the plan so the replay is auditable. */
 void
 printPlan(const FaultPlan &plan)
@@ -113,13 +93,6 @@ printPlan(const FaultPlan &plan)
                     s.rank == kAnyRank ? "any"
                                        : std::to_string(s.rank).c_str(),
                     s.transient ? " (transient)" : "");
-}
-
-bool
-check(bool ok, const char *what)
-{
-    std::printf("%s %s\n", ok ? "ok:" : "FAILED:", what);
-    return ok;
 }
 
 /* ------------------------------------------------------- rank-throw */
@@ -308,29 +281,13 @@ runServeBurst(std::uint64_t seed)
     TrainingData data = materializeTrainingData(task, rng);
     nn::ModelConfig mcfg = smallModel(task);
     nn::GnnModel model(mcfg);
-    {
-        sample::SamplerConfig scfg;
-        scfg.fanouts = {6, 6};
-        scfg.batchSize = 64;
-        scfg.seed = 909;
-        sample::SampledTrainer trainer(model, data, task, scfg);
-        sample::SampledTrainConfig tc;
-        tc.epochs = 2;
-        tc.evalEvery = 2;
-        trainer.run(tc);
-    }
+    tools::trainSampled(model, data, task, 909, 2);
 
     // A steady trickle of requests; the injected burst all arrives at
     // once at the tail, deeper than one batch, so the serialized queue
     // model must stack burst batches behind each other.
-    std::vector<serve::ServeRequest> trace(64);
-    Rng traffic(seed);
-    double t = 0.0;
-    for (serve::ServeRequest &req : trace) {
-        t += 2e-4;
-        req.arrivalSimSeconds = t;
-        req.vertex = traffic.nextBounded(data.graph.numNodes());
-    }
+    const std::vector<serve::ServeRequest> trace =
+        tools::steadyTrace(64, seed, data.graph.numNodes());
 
     serve::ServeConfig scfg;
     scfg.fanout = 6;

@@ -39,96 +39,12 @@
 #include <string>
 #include <vector>
 
+#include "json_reader.hh"
+
 namespace
 {
 
-/* ----------------------------------------------- minimal JSON reader --
- * Supports exactly what maxk-perf-v1 emits: one object with a "records"
- * array of flat objects holding string and number values. Implemented
- * as a tiny recursive-descent scanner rather than a dependency — the
- * container must stay self-contained (no new packages).
- */
-
-struct Parser
-{
-    const std::string &text;
-    std::size_t pos = 0;
-
-    explicit Parser(const std::string &t) : text(t) {}
-
-    [[noreturn]] void
-    fail(const std::string &what) const
-    {
-        std::fprintf(stderr, "maxk-perf-check: JSON parse error at byte "
-                             "%zu: %s\n",
-                     pos, what.c_str());
-        std::exit(2);
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < text.size() &&
-               (text[pos] == ' ' || text[pos] == '\t' ||
-                text[pos] == '\n' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    char
-    peek()
-    {
-        skipWs();
-        if (pos >= text.size())
-            fail("unexpected end of input");
-        return text[pos];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos < text.size() && text[pos] != '"') {
-            char c = text[pos++];
-            if (c == '\\') {
-                if (pos >= text.size())
-                    fail("dangling escape");
-                char e = text[pos++];
-                switch (e) {
-                  case 'n': c = '\n'; break;
-                  case 't': c = '\t'; break;
-                  default: c = e; break; // \" \\ \/ and friends
-                }
-            }
-            out.push_back(c);
-        }
-        if (pos >= text.size())
-            fail("unterminated string");
-        ++pos; // closing quote
-        return out;
-    }
-
-    double
-    parseNumber()
-    {
-        skipWs();
-        const char *start = text.c_str() + pos;
-        char *end = nullptr;
-        const double v = std::strtod(start, &end);
-        if (end == start)
-            fail("malformed number");
-        pos += static_cast<std::size_t>(end - start);
-        return v;
-    }
-};
+namespace json = maxk::json;
 
 /** One flat record: string fields + numeric fields. */
 struct Record
@@ -162,30 +78,12 @@ struct Record
     }
 };
 
-Record
-parseRecord(Parser &p)
+[[noreturn]] void
+reportError(const std::string &path, const std::string &what)
 {
-    Record rec;
-    p.expect('{');
-    if (p.peek() == '}') {
-        ++p.pos;
-        return rec;
-    }
-    for (;;) {
-        const std::string field = p.parseString();
-        p.expect(':');
-        const char c = p.peek();
-        if (c == '"')
-            rec.strings[field] = p.parseString();
-        else
-            rec.numbers[field] = p.parseNumber();
-        if (p.peek() == ',') {
-            ++p.pos;
-            continue;
-        }
-        p.expect('}');
-        return rec;
-    }
+    std::fprintf(stderr, "maxk-perf-check: %s: %s\n", path.c_str(),
+                 what.c_str());
+    std::exit(2);
 }
 
 std::vector<Record>
@@ -199,53 +97,37 @@ loadReport(const std::string &path)
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string text = buf.str();
 
-    Parser p(text);
-    p.expect('{');
-    std::vector<Record> records;
-    bool saw_records = false;
-    for (;;) {
-        const std::string field = p.parseString();
-        p.expect(':');
-        if (field == "records") {
-            saw_records = true;
-            p.expect('[');
-            if (p.peek() != ']') {
-                for (;;) {
-                    records.push_back(parseRecord(p));
-                    if (p.peek() == ',') {
-                        ++p.pos;
-                        continue;
-                    }
-                    break;
-                }
-            }
-            p.expect(']');
-        } else if (p.peek() == '"') {
-            const std::string v = p.parseString();
-            if (field == "schema" && v != "maxk-perf-v1") {
-                std::fprintf(stderr,
-                             "maxk-perf-check: %s: unknown schema '%s'\n",
-                             path.c_str(), v.c_str());
-                std::exit(2);
-            }
-        } else {
-            p.parseNumber();
+    json::Value doc;
+    json::ParseError err;
+    if (!json::parse(buf.str(), doc, err))
+        reportError(path, "JSON parse error at byte " +
+                              std::to_string(err.offset) + ": " +
+                              err.what);
+    if (doc.kind != json::Value::Kind::Object)
+        reportError(path, "report is not a JSON object");
+    if (const json::Value *schema = doc.find("schema");
+        schema && (schema->kind != json::Value::Kind::String ||
+                   schema->string != "maxk-perf-v1"))
+        reportError(path, "unknown schema (want maxk-perf-v1)");
+    const json::Value *records = doc.find("records");
+    if (!records || records->kind != json::Value::Kind::Array)
+        reportError(path, "no \"records\" array");
+
+    std::vector<Record> out;
+    for (const json::Value &r : records->array) {
+        if (r.kind != json::Value::Kind::Object)
+            reportError(path, "a record is not a JSON object");
+        Record rec;
+        for (const auto &[field, v] : r.object) {
+            if (v.kind == json::Value::Kind::String)
+                rec.strings[field] = v.string;
+            else if (v.kind == json::Value::Kind::Number)
+                rec.numbers[field] = v.number;
         }
-        if (p.peek() == ',') {
-            ++p.pos;
-            continue;
-        }
-        p.expect('}');
-        break;
+        out.push_back(std::move(rec));
     }
-    if (!saw_records) {
-        std::fprintf(stderr, "maxk-perf-check: %s: no \"records\" array\n",
-                     path.c_str());
-        std::exit(2);
-    }
-    return records;
+    return out;
 }
 
 } // namespace

@@ -26,10 +26,8 @@
  * Exit status: 0 all checks passed, 1 a check failed, 2 usage.
  */
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -48,7 +46,13 @@
 #include "sample/sampled_trainer.hh"
 #include "serve/session.hh"
 
+#include "json_reader.hh"
+#include "scenario.hh"
+
 using namespace maxk;
+using tools::check;
+using tools::smallModel;
+using tools::smallTask;
 
 namespace
 {
@@ -70,207 +74,6 @@ usage(const char *argv0)
         argv0);
     return 2;
 }
-
-bool
-check(bool ok, const char *what)
-{
-    std::printf("%s %s\n", ok ? "ok:" : "FAILED:", what);
-    return ok;
-}
-
-/** Flickr accuracy twin scaled down to CLI size (same shape as
- *  maxk-faults). */
-TrainingTask
-smallTask(NodeId nodes)
-{
-    TrainingTask task = *findTrainingTask("Flickr");
-    task.accuracyNodes = nodes;
-    task.accuracyAvgDegree = 8.0;
-    return task;
-}
-
-nn::ModelConfig
-smallModel(const TrainingTask &task)
-{
-    nn::ModelConfig cfg;
-    cfg.kind = nn::GnnKind::Sage;
-    cfg.nonlin = nn::Nonlinearity::MaxK;
-    cfg.maxkK = 8;
-    cfg.numLayers = 2;
-    cfg.inDim = task.featureDim;
-    cfg.hiddenDim = 32;
-    cfg.outDim = task.numClasses;
-    cfg.dropout = 0.2f;
-    return cfg;
-}
-
-/* --------------------------------------------- minimal JSON validator */
-
-/**
- * Recursive-descent validator for the written trace file. Accepts
- * exactly the JSON grammar (json.org); no DOM is built. Good enough to
- * prove "a JSON consumer can load this file" without external deps.
- */
-class JsonValidator
-{
-  public:
-    explicit JsonValidator(std::string_view text)
-        : p_(text.data()), end_(text.data() + text.size())
-    {
-    }
-
-    bool valid()
-    {
-        skipWs();
-        if (!value())
-            return false;
-        skipWs();
-        return p_ == end_;
-    }
-
-  private:
-    void skipWs()
-    {
-        while (p_ < end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' ||
-                             *p_ == '\r'))
-            ++p_;
-    }
-
-    bool literal(const char *s)
-    {
-        const std::size_t n = std::strlen(s);
-        if (static_cast<std::size_t>(end_ - p_) < n ||
-            std::memcmp(p_, s, n) != 0)
-            return false;
-        p_ += n;
-        return true;
-    }
-
-    bool string()
-    {
-        if (p_ >= end_ || *p_ != '"')
-            return false;
-        ++p_;
-        while (p_ < end_ && *p_ != '"') {
-            if (*p_ == '\\') {
-                ++p_;
-                if (p_ >= end_)
-                    return false;
-                if (*p_ == 'u') {
-                    for (int i = 0; i < 4; ++i) {
-                        ++p_;
-                        if (p_ >= end_ || !std::isxdigit(
-                                              static_cast<unsigned char>(
-                                                  *p_)))
-                            return false;
-                    }
-                }
-            }
-            ++p_;
-        }
-        if (p_ >= end_)
-            return false;
-        ++p_; // closing quote
-        return true;
-    }
-
-    bool number()
-    {
-        const char *start = p_;
-        if (p_ < end_ && *p_ == '-')
-            ++p_;
-        while (p_ < end_ && std::isdigit(static_cast<unsigned char>(*p_)))
-            ++p_;
-        if (p_ < end_ && *p_ == '.') {
-            ++p_;
-            while (p_ < end_ &&
-                   std::isdigit(static_cast<unsigned char>(*p_)))
-                ++p_;
-        }
-        if (p_ < end_ && (*p_ == 'e' || *p_ == 'E')) {
-            ++p_;
-            if (p_ < end_ && (*p_ == '+' || *p_ == '-'))
-                ++p_;
-            while (p_ < end_ &&
-                   std::isdigit(static_cast<unsigned char>(*p_)))
-                ++p_;
-        }
-        return p_ > start;
-    }
-
-    bool value()
-    {
-        skipWs();
-        if (p_ >= end_)
-            return false;
-        switch (*p_) {
-        case '{': {
-            ++p_;
-            skipWs();
-            if (p_ < end_ && *p_ == '}') {
-                ++p_;
-                return true;
-            }
-            for (;;) {
-                skipWs();
-                if (!string())
-                    return false;
-                skipWs();
-                if (p_ >= end_ || *p_ != ':')
-                    return false;
-                ++p_;
-                if (!value())
-                    return false;
-                skipWs();
-                if (p_ < end_ && *p_ == ',') {
-                    ++p_;
-                    continue;
-                }
-                break;
-            }
-            if (p_ >= end_ || *p_ != '}')
-                return false;
-            ++p_;
-            return true;
-        }
-        case '[': {
-            ++p_;
-            skipWs();
-            if (p_ < end_ && *p_ == ']') {
-                ++p_;
-                return true;
-            }
-            for (;;) {
-                if (!value())
-                    return false;
-                skipWs();
-                if (p_ < end_ && *p_ == ',') {
-                    ++p_;
-                    continue;
-                }
-                break;
-            }
-            if (p_ >= end_ || *p_ != ']')
-                return false;
-            ++p_;
-            return true;
-        }
-        case '"':
-            return string();
-        case 't':
-            return literal("true");
-        case 'f':
-            return literal("false");
-        case 'n':
-            return literal("null");
-        default:
-            return number();
-        }
-    }
-
-    const char *p_;
-    const char *end_;
-};
 
 /* --------------------------------------------------------- scenario */
 
@@ -302,20 +105,7 @@ runSampledScenario(std::uint64_t seed)
     Rng rng(seed ^ 0xABCDull);
     TrainingData data = materializeTrainingData(task, rng);
     nn::GnnModel model(smallModel(task));
-
-    sample::SamplerConfig scfg;
-    scfg.fanouts = {6, 6};
-    scfg.batchSize = 64;
-    scfg.seed = seed;
-    sample::SampledTrainer trainer(model, data, task, scfg);
-
-    sample::SampledTrainConfig tc;
-    tc.epochs = 2;
-    tc.evalEvery = 2;
-    tc.pipeline = true;
-    tc.queueDepth = 2;
-    tc.telemetry = true;
-    trainer.run(tc);
+    tools::trainSampled(model, data, task, seed, 2, true);
 }
 
 /** A short serve replay: serve.batch spans carry setSimSeconds(), so
@@ -328,26 +118,9 @@ runServeScenario(std::uint64_t seed)
     Rng rng(seed ^ 0x5E12ull);
     TrainingData data = materializeTrainingData(task, rng);
     nn::GnnModel model(smallModel(task));
-    {
-        sample::SamplerConfig scfg;
-        scfg.fanouts = {6, 6};
-        scfg.batchSize = 64;
-        scfg.seed = seed;
-        sample::SampledTrainer trainer(model, data, task, scfg);
-        sample::SampledTrainConfig tc;
-        tc.epochs = 1;
-        tc.evalEvery = 1;
-        trainer.run(tc);
-    }
-
-    std::vector<serve::ServeRequest> trace(48);
-    Rng traffic(seed);
-    double t = 0.0;
-    for (serve::ServeRequest &req : trace) {
-        t += 2e-4;
-        req.arrivalSimSeconds = t;
-        req.vertex = traffic.nextBounded(data.graph.numNodes());
-    }
+    tools::trainSampled(model, data, task, seed, 1);
+    const std::vector<serve::ServeRequest> trace =
+        tools::steadyTrace(48, seed, data.graph.numNodes());
 
     serve::ServeConfig scfg;
     scfg.fanout = 6;
@@ -508,8 +281,13 @@ main(int argc, char **argv)
         buf << in.rdbuf();
         trace_text = buf.str();
     }
-    ok &= check(JsonValidator(trace_text).valid(),
-                "trace.json parses as JSON");
+    json::Value doc;
+    json::ParseError err;
+    const bool parsed = json::parse(trace_text, doc, err);
+    if (!parsed)
+        std::printf("trace.json: JSON parse error at byte %zu: %s\n",
+                    err.offset, err.what.c_str());
+    ok &= check(parsed, "trace.json parses as JSON");
 
     const char *required[] = {
         "dist.epoch",        "dist.forward",      "dist.backward",
