@@ -1,6 +1,6 @@
 /**
  * @file
- * Ablation bench for the design choices DESIGN.md calls out:
+ * Ablation bench for the kernel design choices:
  *
  *  A1. Shared-memory accumulation buffer in the forward SpGEMM
  *      (Algorithm 1) vs direct scattered global atomics.

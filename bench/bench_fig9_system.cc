@@ -6,8 +6,8 @@
  * the per-dataset Amdahl's-law speedup limits (Table 3 architectures).
  *
  * Epoch times come from the simulated kernel profiles on the
- * degree-faithful kernel twins (DESIGN.md: timing is decoupled from the
- * accuracy runs, which bench_table5 performs).
+ * degree-faithful kernel twins (timing is decoupled from the accuracy
+ * runs, which bench_table5 performs).
  */
 
 #include <cstdio>

@@ -216,7 +216,7 @@ ShardedTrainer::run(const nn::TrainConfig &cfg)
     }
     result.reduceBytes = world.totalSentBytes(CommChannel::Reduce);
     result.gatherBytes = world.totalSentBytes(CommChannel::Gather);
-    result.steadyStateAllocCount = loop.steadyStateAllocs();
+    result.steadyStateAllocCount = result.train.steadyStateAllocCount;
     return result;
 }
 

@@ -61,8 +61,8 @@ struct ShardedTrainResult
     /** Gather-channel bytes (evaluation logits gather). */
     std::uint64_t gatherBytes = 0;
 
-    /** Matrix/CbsrMatrix heap allocations, all ranks, epochs >= 2
-     *  (0 once the persistent workspaces are warm). */
+    /** train.steadyStateAllocCount: allocations of all ranks (0 once
+     *  the persistent workspaces are warm). */
     std::uint64_t steadyStateAllocCount = 0;
 };
 

@@ -188,7 +188,8 @@ EpochLoop::run(const EpochRoles &roles, TrainResult *owner,
     if (roles.sync)
         roles.sync();
     if (owner && cfg_.epochs > steady_epoch)
-        steadyAllocs_ = AllocProbe::totalAllocCount() - allocBase_;
+        owner->steadyStateAllocCount =
+            AllocProbe::totalAllocCount() - allocBase_;
     if (owner)
         owner->hostSeconds = watch_.seconds();
 }

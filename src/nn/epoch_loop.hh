@@ -73,6 +73,11 @@ struct TrainResult
     double testAtBestVal = 0.0;   //!< Table 5's reported number
     double finalTestMetric = 0.0;
     double hostSeconds = 0.0;     //!< wall clock of the whole run
+
+    /** Matrix/CbsrMatrix heap allocations, all threads, from the second
+     *  epoch after the start to the end of the run (0 once every
+     *  workspace is warm, and for shorter runs). */
+    std::uint64_t steadyStateAllocCount = 0;
 };
 
 /** Validation and test metric of one evaluation. */
@@ -145,16 +150,12 @@ class EpochLoop
 
     /**
      * Run the remaining epochs on this thread. `owner` is the result
-     * this thread records into (hostSeconds included), or null on
-     * non-owning ranks. `rank` keys the fault hook; `detail` tags the
-     * trace spans.
+     * this thread records into (hostSeconds and steadyStateAllocCount
+     * included), or null on non-owning ranks. `rank` keys the fault
+     * hook; `detail` tags the trace spans.
      */
     void run(const EpochRoles &roles, TrainResult *owner,
              std::uint32_t rank = 0, std::string_view detail = {});
-
-    /** Matrix/CbsrMatrix allocations from the second epoch after the
-     *  start to the end of run() (0 when the run is shorter). */
-    std::uint64_t steadyStateAllocs() const { return steadyAllocs_; }
 
   private:
     void save(const EpochRoles &roles, TrainResult *owner,
@@ -171,7 +172,6 @@ class EpochLoop
     formats::Checkpoint image_;  //!< owner's save image
     std::uint32_t start_ = 0;
     std::uint64_t allocBase_ = 0;
-    std::uint64_t steadyAllocs_ = 0;
 };
 
 } // namespace maxk::nn

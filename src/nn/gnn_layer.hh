@@ -17,7 +17,7 @@
  *
  * This class implements the fast functional path used for training
  * epochs; simulated kernel timing is produced separately by
- * profileEpoch() in trainer.hh (see DESIGN.md Sec. 4, decision 4).
+ * profileEpoch() in trainer.hh.
  */
 
 #ifndef MAXK_NN_GNN_LAYER_HH

@@ -218,24 +218,25 @@ Trainer::run(const TrainConfig &cfg)
             MAXK_TRACE_SCOPE("train.forward");
             logits = &model_.forward(data_.graph, data_.features, true);
         }
-        LossResult loss;
+        double loss = 0.0;
         {
             MAXK_TRACE_SCOPE("train.loss");
             loss = task_.multiLabel
-                       ? sigmoidBce(*logits, multiTargets_,
-                                    data_.trainMask)
-                       : softmaxCrossEntropy(*logits, data_.labels,
-                                             data_.trainMask);
+                       ? sigmoidBceInto(*logits, multiTargets_,
+                                        data_.trainMask, 0, gradWs_)
+                       : softmaxCrossEntropyInto(*logits, data_.labels,
+                                                 data_.trainMask, 0,
+                                                 gradWs_, probsWs_);
         }
         {
             MAXK_TRACE_SCOPE("train.backward");
-            model_.backward(data_.graph, loss.gradLogits);
+            model_.backward(data_.graph, gradWs_);
         }
         {
             MAXK_TRACE_SCOPE("train.optimizer");
             adam.step();
         }
-        return loss.loss;
+        return loss;
     };
     roles.eval = [&](std::uint32_t) {
         return taskMetric(task_, data_, multiTargets_,

@@ -93,6 +93,8 @@ class Trainer
     TrainingData &data_;
     const TrainingTask &task_;
     Matrix multiTargets_;  //!< BCE targets when task_.multiLabel
+    Matrix gradWs_;        //!< loss gradient, reused across epochs
+    Matrix probsWs_;       //!< softmax scratch, reused across epochs
 };
 
 } // namespace maxk::nn

@@ -210,7 +210,6 @@ SampledTrainer::run(const SampledTrainConfig &cfg)
                                  result.sampledEdges});
     };
     loop.run(roles, &result);
-    result.steadyStateAllocCount = loop.steadyStateAllocs();
     return result;
 }
 

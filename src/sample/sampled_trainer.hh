@@ -64,10 +64,6 @@ struct SampledTrainResult : nn::TrainResult
     /** Full-graph logits of the last evaluation. */
     Matrix finalLogits;
 
-    /** Matrix/CbsrMatrix heap allocations during epochs >= 2 (0 once
-     *  every slot and workspace is warm). */
-    std::uint64_t steadyStateAllocCount = 0;
-
     std::uint64_t batchesTrained = 0;
     std::uint64_t sampledNodes = 0;  //!< Σ real (unpadded) batch nodes
     std::uint64_t sampledEdges = 0;  //!< Σ sampled minibatch edges

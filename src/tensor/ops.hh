@@ -3,8 +3,26 @@
  * Dense linear-algebra kernels on Matrix.
  *
  * These back the Linear layers of the GNN models (the X*W stage of Fig. 3)
- * and all autograd math. GEMMs use an ikj loop order so the inner loop
- * streams both B and C rows, which the compiler auto-vectorises.
+ * and all autograd math.
+ *
+ * The four GEMMs share one register-tiled micro-kernel: a 4 x 8 tile of
+ * C held in eight SSE2 registers (GCC vector types, baseline x86-64,
+ * no FMA) while it runs over a packed B panel of up to 256 rows x 8
+ * columns. gemmTransA reads A^T through strides; gemmTransB packs B^T
+ * into the panel. The panel is an 8 KiB stack buffer, so the GEMMs
+ * allocate nothing and are safe to call from concurrent threads. Row,
+ * column and depth remainders run the same kernel (on a zero-padded
+ * tile for a partial column block).
+ *
+ * Fold contract: every output is c = c + a_p * b_p over p = 0, 1, ...,
+ * k-1 in ascending order, each term one fp32 multiply and then one add
+ * (never fused: the build sets -ffp-contract=off), starting from the
+ * prior C for gemmAccum and from +0 otherwise. So results do not depend
+ * on the tiling, and the dense and CBSR linear paths agree bitwise.
+ * Zero entries of A are not skipped: a 0 opposite an inf/NaN in B gives
+ * NaN, and gemmAccum onto a -0 in C can yield +0. Otherwise a ±0
+ * product leaves the accumulator unchanged, so skipping zeros (as the
+ * CBSR kernels do) gives the same bits.
  */
 
 #ifndef MAXK_TENSOR_OPS_HH

@@ -249,8 +249,8 @@ TEST_P(KernelEquivalence, LinearBackwardCbsrBitwiseMatchesDense)
     Rng rng(90210 + k_);
     Matrix x(g_.numNodes(), in_dim);
     fillNormal(x, rng, 0.0f, 1.0f);
-    // Plant exact zeros in X: the dense gemmTransA skips them, the CBSR
-    // kernel must skip them identically.
+    // Plant exact zeros in X: the CBSR kernel skips them, the dense
+    // gemmTransA adds their ±0 products, which leave each sum unchanged.
     for (NodeId r = 0; r < g_.numNodes(); r += 3)
         x.at(r, r % in_dim) = 0.0f;
     Matrix w(in_dim, x_.cols());

@@ -183,6 +183,33 @@ TEST(Trainer, EvalEveryZeroClampedToEveryEpoch)
     EXPECT_EQ(r.evalEpochs.back(), 4u);
 }
 
+TEST(Trainer, SteadyStateEpochsAllocateNothing)
+{
+    // Every epoch after the warm-up ones reuses the model, layer and
+    // loss workspaces: zero Matrix/CbsrMatrix allocations, for the
+    // softmax and the BCE loss and both nonlinearities.
+    TrainingTask multi = *findTrainingTask("Yelp");
+    multi.accuracyNodes = 300;
+    multi.accuracyAvgDegree = 10.0;
+    Rng rng(5);
+    TrainingData multi_data = materializeTrainingData(multi, rng);
+    TinyTask single;
+    for (Nonlinearity nonlin : {Nonlinearity::Relu, Nonlinearity::MaxK}) {
+        for (bool multi_label : {false, true}) {
+            const TrainingTask &task = multi_label ? multi : single.task;
+            TrainingData &data = multi_label ? multi_data : single.data;
+            GnnModel model(tinyModel(GnnKind::Sage, nonlin, task));
+            Trainer trainer(model, data, task);
+            TrainConfig cfg;
+            cfg.epochs = 5;
+            const TrainResult r = trainer.run(cfg);
+            EXPECT_EQ(r.steadyStateAllocCount, 0u)
+                << "nonlin " << static_cast<int>(nonlin) << " multi-label "
+                << multi_label;
+        }
+    }
+}
+
 TEST(Trainer, MultiLabelTaskTrainsWithBce)
 {
     TrainingTask task = *findTrainingTask("Yelp");

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hh"
 #include "tensor/init.hh"
@@ -160,6 +161,103 @@ TEST(Gemm, TransBMatchesExplicitTranspose)
     got.resize(6, 5);
     gemmTransB(a, b, got);
     EXPECT_TRUE(got.approxEquals(expect, 1e-4f));
+}
+
+/**
+ * The GEMM fold contract as a scalar oracle: c(i, j) = c(i, j) +
+ * A(i, p) * B(p, j) for p ascending, one multiply then one add per term.
+ * `a(i, p)` and `b(p, j)` read the operands in their logical layout.
+ */
+template <typename AAt, typename BAt>
+void
+foldOracle(AAt a, BAt b, std::size_t k, Matrix &c)
+{
+    for (std::size_t i = 0; i < c.rows(); ++i)
+        for (std::size_t j = 0; j < c.cols(); ++j) {
+            Float acc = c.at(i, j);
+            for (std::size_t p = 0; p < k; ++p)
+                acc = acc + a(i, p) * b(p, j);
+            c.at(i, j) = acc;
+        }
+}
+
+/** Normal values with planted exact +0, -0 and negated entries. */
+Matrix
+plantedMatrix(std::size_t r, std::size_t c, std::uint64_t seed)
+{
+    Matrix m = randomMatrix(r, c, seed);
+    for (std::size_t i = 0; i < m.size(); ++i) {
+        if (i % 5 == 1)
+            m.data()[i] = 0.0f;
+        else if (i % 11 == 3)
+            m.data()[i] = -0.0f;
+        else if (i % 3 == 2)
+            m.data()[i] = -std::fabs(m.data()[i]);
+    }
+    return m;
+}
+
+::testing::AssertionResult
+bitwiseEqual(const Matrix &got, const Matrix &want)
+{
+    if (got.rows() != want.rows() || got.cols() != want.cols())
+        return ::testing::AssertionFailure() << "shape mismatch";
+    for (std::size_t i = 0; i < got.size(); ++i)
+        if (std::memcmp(got.data() + i, want.data() + i, sizeof(Float)))
+            return ::testing::AssertionFailure()
+                   << "element " << i << ": got " << got.data()[i]
+                   << ", want " << want.data()[i];
+    if (!got.equals(want))
+        return ::testing::AssertionFailure() << "equals() disagrees";
+    return ::testing::AssertionSuccess();
+}
+
+/** All four entry points against the oracle, bitwise, over shapes that
+ *  hit every row, column and depth remainder of the register tile. */
+TEST(Gemm, BitwiseMatchesFoldOracle)
+{
+    std::uint64_t seed = 100;
+    for (std::size_t m : {0, 1, 3, 4, 5, 9, 33})
+        for (std::size_t n : {1, 7, 8, 9, 16, 41})
+            for (std::size_t k : {0, 1, 5, 128, 300}) {
+                SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n
+                                                  << " k=" << k);
+                const Matrix a = plantedMatrix(m, k, ++seed);
+                const Matrix b = randomMatrix(k, n, ++seed);
+                const Matrix at = plantedMatrix(k, m, ++seed);
+                const Matrix bt = randomMatrix(n, k, ++seed);
+                const auto rowMajor = [](const Matrix &x) {
+                    return [&x](std::size_t r, std::size_t c) {
+                        return x.at(r, c);
+                    };
+                };
+                const auto transposed = [](const Matrix &x) {
+                    return [&x](std::size_t r, std::size_t c) {
+                        return x.at(c, r);
+                    };
+                };
+
+                Matrix got, want(m, n);
+                gemm(a, b, got);
+                foldOracle(rowMajor(a), rowMajor(b), k, want);
+                EXPECT_TRUE(bitwiseEqual(got, want)) << "gemm";
+
+                Matrix acc = randomMatrix(m, n, ++seed);
+                want = acc;
+                gemmAccum(a, b, acc);
+                foldOracle(rowMajor(a), rowMajor(b), k, want);
+                EXPECT_TRUE(bitwiseEqual(acc, want)) << "gemmAccum";
+
+                want = Matrix(m, n);
+                gemmTransA(at, b, got);
+                foldOracle(transposed(at), rowMajor(b), k, want);
+                EXPECT_TRUE(bitwiseEqual(got, want)) << "gemmTransA";
+
+                want = Matrix(m, n);
+                gemmTransB(a, bt, got);
+                foldOracle(rowMajor(a), transposed(bt), k, want);
+                EXPECT_TRUE(bitwiseEqual(got, want)) << "gemmTransB";
+            }
 }
 
 TEST(GemmDeathTest, InnerDimensionMismatchPanics)
