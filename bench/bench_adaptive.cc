@@ -1,7 +1,7 @@
 /**
  * @file
  * Adaptive kernel-selector sweep: for every corpus entry, compare the
- * selector's pick (kernelVariant="auto") against the static row-wise
+ * selector's pick (resolveSpmmVariant "auto") against the static row-wise
  * default and against the per-entry oracle (best selectable variant by
  * simulated seconds, DRAM bytes breaking ties).
  *

@@ -181,8 +181,8 @@ void
 BM_AggregateCbsrBackwardThreads(benchmark::State &state)
 {
     // Scatter-shaped backward path: >1 worker takes the stable
-    // transpose-gather branch (the transpose is rebuilt per call, so
-    // this also prices that overhead honestly).
+    // transpose-gather branch over the graph's cached transpose (built
+    // on the first iteration, reused after).
     setDefaultThreads(static_cast<std::uint32_t>(state.range(0)));
     Rng rng(11);
     CsrGraph g = rmat(12, 200000, rng);

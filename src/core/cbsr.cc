@@ -16,7 +16,7 @@ CbsrMatrix::CbsrMatrix(NodeId rows, std::uint32_t dim_k,
     : rows_(rows),
       dimK_(dim_k),
       dimOrigin_(dim_origin),
-      narrowIndex_(dim_origin <= 256)
+      narrowIndex_(indexBytesFor(dim_origin) == 1)
 {
     checkInvariant(dim_k >= 1 && dim_k <= dim_origin,
                    "CBSR: need 1 <= dimK <= dimOrigin");
@@ -129,7 +129,7 @@ CbsrMatrix::reshape(NodeId rows, std::uint32_t dim_k,
     rows_ = rows;
     dimK_ = dim_k;
     dimOrigin_ = dim_origin;
-    narrowIndex_ = dim_origin <= 256;
+    narrowIndex_ = indexBytesFor(dim_origin) == 1;
     allocprobe::tracked(spData_, kKind, [&] {
         spData_.assign(std::size_t(rows) * dim_k, 0.0f);
     });
@@ -156,7 +156,7 @@ CbsrMatrix::ensureShape(NodeId rows, std::uint32_t dim_k,
     rows_ = rows;
     dimK_ = dim_k;
     dimOrigin_ = dim_origin;
-    narrowIndex_ = dim_origin <= 256;
+    narrowIndex_ = indexBytesFor(dim_origin) == 1;
     const std::size_t n = std::size_t(rows) * dim_k;
     if (spData_.size() != n)
         allocprobe::tracked(spData_, kKind, [&] { spData_.resize(n); });

@@ -57,6 +57,14 @@ class CbsrMatrix
     /** Bytes a stored index element occupies on the wire (1 or 2). */
     std::uint32_t indexBytes() const { return narrowIndex_ ? 1 : 2; }
 
+    /** indexBytes() of any CBSR matrix with dense width dim_origin:
+     *  uint8 indices when the width fits, uint16 otherwise. */
+    static std::uint32_t
+    indexBytesFor(std::uint32_t dim_origin)
+    {
+        return dim_origin <= 256 ? 1 : 2;
+    }
+
     Float *dataRow(NodeId r) { return spData_.data() + size_t(r) * dimK_; }
     const Float *dataRow(NodeId r) const
     {

@@ -1,80 +1,39 @@
 #include "dist/sharded_model.hh"
 
-#include <string>
-#include <utility>
-
-#include "common/logging.hh"
-#include "kernels/registry.hh"
-
 namespace maxk::dist
 {
-
-ShardedModel::ShardedModel(const nn::ModelConfig &cfg,
-                           const HaloShard &shard)
-    : shard_(shard), model_(cfg)
-{
-    if (cfg.kernelVariant != "auto")
-        return;
-    // Resolve once against the rank's extended subgraph (the adjacency
-    // every aggregation here runs over) at the stack's hidden width,
-    // then pin: re-selecting per launch would recompute the same answer
-    // from the same cached stats.
-    const kernels::KernelVariant &v = kernels::resolveSpmmVariant(
-        "auto", shard.extGraph, cfg.hiddenDim);
-    for (nn::GnnLayer &layer : model_.layers())
-        layer.setKernelVariant(std::string(v.name));
-}
 
 const Matrix &
 ShardedModel::forward(Communicator &comm, HaloExchange &ex,
                       const Matrix &x_ext, bool training)
 {
-    checkInvariant(x_ext.rows() == shard_.numExt(),
-                   "ShardedModel::forward: feature rows != numExt");
-    auto &layers = model_.layers();
-    // outs_[l] is layer l's output; layer 0 reads the caller's feature
-    // matrix directly (no per-epoch copy — the features never change).
-    outs_.resize(layers.size());
-    for (std::size_t l = 0; l < layers.size(); ++l) {
-        nn::GnnLayer &layer = layers[l];
-        const Matrix &in = l == 0 ? x_ext : outs_[l - 1];
-        layer.forwardCompute(in, training, model_.dropoutRng());
-        // Boundary activation exchange at the paper's wire point:
-        // after the nonlinearity (CBSR for MaxK layers), before the
-        // aggregation that reads the halo rows.
-        if (layer.activationIsCbsr())
-            ex.exchangeCbsr(comm, layer.activationCbsr());
-        else
-            ex.exchangeDense(comm, layer.activationDense());
-        layer.forwardCombine(shard_.extGraph, outs_[l]);
-    }
-    return outs_.back();
+    // Boundary activation exchange at the paper's wire point: after the
+    // nonlinearity (CBSR for MaxK layers), before the aggregation that
+    // reads the halo rows.
+    return model_.forwardFrom(
+        0, shard_.extGraph, x_ext, training,
+        [&](std::uint32_t, nn::GnnLayer &layer) {
+            if (layer.activationIsCbsr())
+                ex.exchangeCbsr(comm, layer.activationCbsr());
+            else
+                ex.exchangeDense(comm, layer.activationDense());
+        });
 }
 
 void
 ShardedModel::backward(Communicator &comm, HaloExchange &ex,
                        const Matrix &grad_logits)
 {
-    checkInvariant(grad_logits.rows() == shard_.numExt(),
-                   "ShardedModel::backward: gradient rows != numExt");
-    auto &layers = model_.layers();
-    // The top layer reads the caller's gradient directly; below it the
-    // upstream gradient ping-pongs between the two member workspaces.
-    const Matrix *upstream = &grad_logits;
-    for (std::size_t l = layers.size(); l-- > 0;) {
-        nn::GnnLayer &layer = layers[l];
-        layer.backwardAgg(shard_.extGraph, *upstream);
-        // Reverse halo exchange: the partial gradients this rank
-        // accumulated for remote-owned rows travel back to their
-        // owners; our own boundary rows absorb the peers' partials.
-        if (layer.activationIsCbsr())
-            ex.reverseCbsr(comm, layer.gradAggCbsr());
-        else
-            ex.reverseDense(comm, layer.gradAggDense());
-        layer.backwardPost(shard_.extGraph, *upstream, gradPrev_);
-        std::swap(gradCur_, gradPrev_);
-        upstream = &gradCur_;
-    }
+    // Reverse halo exchange: the partial gradients this rank
+    // accumulated for remote-owned rows travel back to their owners;
+    // our own boundary rows absorb the peers' partials.
+    model_.backward(shard_.extGraph, grad_logits,
+                    [&](std::uint32_t, nn::GnnLayer &layer) {
+                        if (layer.activationIsCbsr())
+                            ex.reverseCbsr(comm, layer.gradAggCbsr());
+                        else
+                            ex.reverseDense(comm, layer.gradAggDense());
+                    });
 }
 
 } // namespace maxk::dist

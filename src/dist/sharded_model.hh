@@ -2,19 +2,20 @@
  * @file
  * Per-rank GNN model replica over one shard's extended subgraph.
  *
- * ShardedModel drives the GnnLayer phase hooks directly: each layer
- * runs dropout → Linear → nonlinearity on the extended feature matrix,
- * exchanges the boundary activation rows (CBSR rows for MaxK layers —
- * the paper's compounding communication win — dense rows otherwise),
- * then aggregates over the extended subgraph, whose halo rows now hold
- * the owners' exact activations. The backward pass mirrors it: reverse
- * aggregation accumulates partial gradients into the halo rows, the
- * reverse exchange hands them back to their owners (which fold them in
- * rank order), and the remainder of the backward runs locally.
+ * ShardedModel runs its nn::GnnModel with two layer hooks. Forward:
+ * each layer runs dropout → Linear → nonlinearity on the extended
+ * feature matrix, the hook exchanges the boundary activation rows (CBSR
+ * rows for MaxK layers — the paper's compounding communication win —
+ * dense rows otherwise), then the layer aggregates over the extended
+ * subgraph, whose halo rows now hold the owners' exact activations.
+ * Backward mirrors it: reverse aggregation accumulates partial
+ * gradients into the halo rows, the hook hands them back to their
+ * owners (which fold them in rank order), and the remainder of the
+ * backward runs locally.
  *
  * At one rank the extended subgraph is the whole graph, both exchanges
- * are empty, and the phase hooks execute exactly GnnModel::forward /
- * backward — bitwise-identical to the single-device Trainer.
+ * are empty, and the run is exactly GnnModel::forward / backward —
+ * bitwise-identical to the single-device Trainer.
  *
  * Known trade-off: the per-node stages (dropout / Linear / MaxK) run
  * over all numExt rows, so the halo rows are computed locally and then
@@ -23,13 +24,11 @@
  * with the exact single-device shapes (the bitwise 1-rank guarantee
  * and the zero-allocation contract fall out for free). Row-limited
  * variants of the Linear/Dropout path would remove it without changing
- * any exchanged byte — tracked in ROADMAP.
+ * any exchanged byte.
  */
 
 #ifndef MAXK_DIST_SHARDED_MODEL_HH
 #define MAXK_DIST_SHARDED_MODEL_HH
-
-#include <vector>
 
 #include "dist/comm.hh"
 #include "dist/halo.hh"
@@ -43,14 +42,10 @@ namespace maxk::dist
 class ShardedModel
 {
   public:
-    /**
-     * Builds the replica; an "auto" kernel variant in `cfg` is resolved
-     * once against this rank's extended subgraph and pinned into every
-     * layer — partitions differ in degree shape, so ranks legitimately
-     * pin different schedules (a per-rank adaptive choice the
-     * single-device path cannot express).
-     */
-    ShardedModel(const nn::ModelConfig &cfg, const HaloShard &shard);
+    ShardedModel(const nn::ModelConfig &cfg, const HaloShard &shard)
+        : shard_(shard), model_(cfg)
+    {
+    }
 
     /**
      * Full forward over the extended features (numExt rows; halo rows
@@ -72,9 +67,6 @@ class ShardedModel
   private:
     const HaloShard &shard_;
     nn::GnnModel model_;
-    std::vector<Matrix> outs_;  //!< outs_[l] = output of layer l
-    Matrix gradCur_;
-    Matrix gradPrev_;
 };
 
 } // namespace maxk::dist

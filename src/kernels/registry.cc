@@ -155,6 +155,9 @@ resolveSpmmVariant(std::string_view requested, const CsrGraph &g,
     checkInvariant(!v.transposed,
                    "resolveSpmmVariant: transposed variant requested for "
                    "a forward launch");
+    if (!v.selectable)
+        fatal("resolveSpmmVariant: variant '" + std::string(v.name) +
+              "' is not selectable");
     if (reason)
         *reason = "explicitly configured";
     noteDispatch(v, "explicitly configured");

@@ -65,9 +65,10 @@ activationRowBytes(const ModelConfig &cfg, std::uint32_t layer)
         return Bytes(4) * out_dim;
     const std::uint32_t k = std::min<std::uint32_t>(
         cfg.maxkK, static_cast<std::uint32_t>(out_dim));
-    // CBSR wire format: k fp32 values + k indices (uint8 when the
-    // original width fits, matching CbsrMatrix::indexBytes()).
-    return Bytes(k) * (4 + (out_dim <= 256 ? 1 : 2));
+    // CBSR wire format: k fp32 values + k indices.
+    return Bytes(k) *
+           (4 + CbsrMatrix::indexBytesFor(
+                    static_cast<std::uint32_t>(out_dim)));
 }
 
 DistributedEpochTiming

@@ -156,12 +156,8 @@ GnnLayer::forward(const CsrGraph &a, const Matrix &x, Matrix &out,
 {
     checkInvariant(x.rows() == a.numNodes(),
                    "GnnLayer::forward: feature row count != |V|");
-    // The two phases run back-to-back here; the sharded executor
-    // (dist::ShardedModel) inserts the boundary-row halo exchange
-    // between them. The fused-forward flag only selects the fused cost
-    // model in profileEpoch; the fused launch executes the exact same
-    // arithmetic as compress-then-aggregate, so the functional result
-    // is bitwise-identical either way.
+    // The two phases back-to-back; GnnModel calls them separately to
+    // run its layer hook (halo exchange, serving cache) in between.
     forwardCompute(x, training, rng);
     forwardCombine(a, out);
 }
@@ -190,11 +186,9 @@ GnnLayer::forwardCombine(const CsrGraph &a, Matrix &out)
     if (usedCbsr_) {
         aggregateCbsr(a, cbsr_, out);
     } else {
-        // Registry dispatch: every forward variant shares the same fp32
-        // fast loop, so the configured variant ("auto" included) cannot
-        // perturb training numerics — it selects the simulated schedule
-        // profileEpoch charges for this aggregation.
-        kernels::resolveSpmmVariant(cfg_.kernelVariant, a, hDense_.cols())
+        // Registry dispatch (the default variant): the single SpMM
+        // dispatch point, and the kernel.dispatch trace marker.
+        kernels::resolveSpmmVariant("", a, hDense_.cols())
             .fast(a, hDense_, out);
     }
 
@@ -232,9 +226,8 @@ GnnLayer::backward(const CsrGraph &a, const Matrix &d_out, Matrix &dx)
 {
     checkInvariant(d_out.rows() == a.numNodes(),
                    "GnnLayer::backward: gradient row count != |V|");
-    // Phase split mirrors forward(): the sharded executor inserts the
-    // reverse halo exchange (partial gradients back to their owners)
-    // between the two calls.
+    // Phase split mirrors forward(): GnnModel runs its layer hook (the
+    // reverse halo exchange) between the two calls.
     backwardAgg(a, d_out);
     backwardPost(a, d_out, dx);
 }

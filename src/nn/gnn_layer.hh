@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 
 #include "core/cbsr.hh"
 #include "graph/csr.hh"
@@ -58,28 +57,6 @@ struct GnnLayerConfig
     bool lastLayer = false;     //!< last layer: identity nonlinearity
     Float ginEps = 0.0f;
     Float dropout = 0.0f;
-
-    /**
-     * Run the MaxK nonlinearity and the SpGEMM aggregation as one fused
-     * launch: profileEpoch selects the spgemmForwardFused cost model,
-     * where the fused launch saves the sp_data global round-trip
-     * (core/spgemm_forward.hh). The functional path is phase-split
-     * either way (forwardCompute / forwardCombine, so the sharded
-     * executor can exchange halo rows in between) and the result is
-     * bitwise-identical — the fused launch executes the exact same
-     * arithmetic as compress-then-aggregate.
-     */
-    bool fusedForward = false;
-
-    /**
-     * SpMM variant for the dense aggregation path: "" = static
-     * row-wise default, "auto" = adaptive selector, else a registered
-     * variant name (kernels/registry.hh). Every variant shares the
-     * same fp32 functional loop, so training numerics are invariant —
-     * the choice drives the simulated schedule profileEpoch charges
-     * and what the sharded executor pins per partition.
-     */
-    std::string kernelVariant;
 };
 
 /** One trainable GNN layer (fast functional path). */
@@ -112,15 +89,13 @@ class GnnLayer
     void backward(const CsrGraph &a, const Matrix &d_out, Matrix &dx);
 
     /*
-     * Sharded-execution phase hooks (src/dist/). The sharded executor
-     * must exchange boundary activation rows *between* the nonlinearity
-     * and the aggregation (that is the point where MaxK models carry
-     * CBSR rows — the paper's compounding communication win), and
-     * exchange partial gradients between the reverse aggregation and
-     * the rest of the backward pass. forward() and backward() above are
-     * expressed in terms of these phases, so the single-device path and
-     * the sharded path execute the exact same arithmetic in the same
-     * order (bitwise-identical at one rank).
+     * Phase hooks. GnnModel runs every layer through these with its
+     * LayerHook in between: the sharded executor exchanges boundary
+     * activation rows between the nonlinearity and the aggregation (the
+     * point where MaxK models carry CBSR rows — the paper's compounding
+     * communication win), and partial gradients between the reverse
+     * aggregation and the rest of the backward pass. forward() and
+     * backward() above are the same phases back-to-back.
      */
 
     /** Forward phase 1: dropout + Linear1 + nonlinearity (no
@@ -156,14 +131,6 @@ class GnnLayer
     void backwardPost(const CsrGraph &a, const Matrix &d_out, Matrix &dx);
 
     void collectParams(ParamRefs &out);
-
-    /** Re-pin the aggregation variant after construction (the sharded
-     *  executor resolves "auto" once against its rank's extended
-     *  subgraph and pins the result here). */
-    void setKernelVariant(std::string v)
-    {
-        cfg_.kernelVariant = std::move(v);
-    }
 
     const GnnLayerConfig &config() const { return cfg_; }
     std::size_t inDim() const { return linear1_.inDim(); }

@@ -1,6 +1,7 @@
 #include "nn/model.hh"
 
 #include <cstdio>
+#include <string>
 
 #include "common/logging.hh"
 #include "common/trace.hh"
@@ -33,11 +34,9 @@ GnnModel::GnnModel(const ModelConfig &cfg)
         lc.kind = cfg.kind;
         lc.nonlin = cfg.nonlin;
         lc.maxkK = cfg.maxkK;
-        lc.fusedForward = cfg.fusedForward;
         lc.lastLayer = l + 1 == cfg.numLayers;
         lc.ginEps = cfg.ginEps;
         lc.dropout = cfg.dropout;
-        lc.kernelVariant = cfg.kernelVariant;
         layers_.emplace_back(lc, layerInDim(l), layerOutDim(l), init_rng,
                              "layer" + std::to_string(l));
     }
@@ -68,36 +67,41 @@ GnnModel::forwardFrom(std::uint32_t first, const CsrGraph &a,
 {
     checkInvariant(first < layers_.size(),
                    "GnnModel::forwardFrom: layer index out of range");
-    acts_.resize(layers_.size() + 1);
-    acts_[first] = x;
+    checkInvariant(x.rows() == a.numNodes(),
+                   "GnnModel::forwardFrom: feature row count != |V|");
+    outs_.resize(layers_.size());
     for (std::size_t l = first; l < layers_.size(); ++l) {
         GnnLayer &layer = layers_[l];
         char tag[32];
         layerTag(tag, l);
         MAXK_TRACE_SCOPE("nn.layer.forward", tag);
-        if (!hook) {
-            layer.forward(a, acts_[l], acts_[l + 1], training, dropRng_);
-            continue;
-        }
-        // Phase-split path: same arithmetic in the same order as
-        // layer.forward(), with the hook at the activation seam.
-        layer.forwardCompute(acts_[l], training, dropRng_);
-        hook(static_cast<std::uint32_t>(l), layer);
-        layer.forwardCombine(a, acts_[l + 1]);
+        layer.forwardCompute(l == first ? x : outs_[l - 1], training,
+                             dropRng_);
+        if (hook)
+            hook(static_cast<std::uint32_t>(l), layer);
+        layer.forwardCombine(a, outs_[l]);
     }
-    return acts_.back();
+    return outs_.back();
 }
 
 void
-GnnModel::backward(const CsrGraph &a, const Matrix &grad_logits)
+GnnModel::backward(const CsrGraph &a, const Matrix &grad_logits,
+                   const LayerHook &hook)
 {
-    gradCur_ = grad_logits;
+    // The top layer reads the caller's gradient in place; below it the
+    // upstream gradient is the previous layer's dx in gradCur_.
+    const Matrix *upstream = &grad_logits;
     for (std::size_t l = layers_.size(); l-- > 0;) {
+        GnnLayer &layer = layers_[l];
         char tag[32];
         layerTag(tag, l);
         MAXK_TRACE_SCOPE("nn.layer.backward", tag);
-        layers_[l].backward(a, gradCur_, gradPrev_);
+        layer.backwardAgg(a, *upstream);
+        if (hook)
+            hook(static_cast<std::uint32_t>(l), layer);
+        layer.backwardPost(a, *upstream, gradPrev_);
         std::swap(gradCur_, gradPrev_);
+        upstream = &gradCur_;
     }
 }
 

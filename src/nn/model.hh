@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "graph/csr.hh"
@@ -26,7 +25,7 @@ struct ModelConfig
     GnnKind kind = GnnKind::Sage;
     Nonlinearity nonlin = Nonlinearity::Relu;
     std::uint32_t maxkK = 32;       //!< k for MaxK layers
-    bool fusedForward = false;      //!< fuse MaxK select into the SpGEMM
+    bool fusedForward = false;      //!< profileEpoch charges fused MaxK+SpGEMM
     std::uint32_t numLayers = 3;
     std::size_t inDim = 64;
     std::size_t hiddenDim = 64;
@@ -34,33 +33,29 @@ struct ModelConfig
     Float dropout = 0.5f;
     Float ginEps = 0.0f;
     std::uint64_t seed = 42;
-
-    /** SpMM variant for dense aggregation ("" = default, "auto" =
-     *  adaptive selector, else a registry name); copied into every
-     *  layer's GnnLayerConfig. */
-    std::string kernelVariant;
 };
 
-/** Stack of GNN layers with cached activations for backprop. */
+/**
+ * Stack of GNN layers: the one place a layer stack runs, for the
+ * single-device, sampled, serving and sharded paths alike.
+ */
 class GnnModel
 {
   public:
     explicit GnnModel(const ModelConfig &cfg);
 
-    /**
-     * Full-batch forward. Returns the logits (N x outDim). The input and
-     * every intermediate activation are cached for backward().
-     */
+    /** Full-batch forward. Returns the logits (N x outDim). */
     const Matrix &forward(const CsrGraph &a, const Matrix &x,
                           bool training);
 
     /**
-     * Hook invoked between a layer's forwardCompute and forwardCombine
-     * phases — the point where the activation (CBSR for MaxK layers,
-     * dense otherwise) is complete but not yet aggregated. The serving
-     * layer injects cached embedding rows and harvests newly computed
-     * ones here; the sharded executor exchanges halo rows at the same
-     * seam.
+     * Per-layer hook at the activation seam. In forwardFrom() it runs
+     * between forwardCompute and forwardCombine, when the activation
+     * (CBSR for MaxK layers, dense otherwise) is complete but not yet
+     * aggregated: the serving layer injects and harvests cached
+     * embedding rows there, the sharded executor exchanges halo rows.
+     * In backward() it runs between backwardAgg and backwardPost, where
+     * the sharded executor hands partial gradients back to their owners.
      */
     using LayerHook = std::function<void(std::uint32_t layer, GnnLayer &)>;
 
@@ -70,19 +65,26 @@ class GnnModel
      * entirely. This is the cached-embedding entry point: when every
      * activation a serving batch needs below `first` comes out of the
      * EmbeddingCache, the lower layers contribute no arithmetic at all.
-     * The optional `hook` runs per executed layer between the compute
-     * and combine phases (see LayerHook). Activations from layer `first`
-     * on are cached for backward(); earlier ones keep their prior
-     * contents. No dropout stream is consumed for skipped layers when
-     * `training` is false (the serving mode), so partial and full
-     * forwards stay bitwise-consistent.
+     * The optional `hook` runs per executed layer (see LayerHook).
+     * Layer `first` reads `x` in place (no copy); the model keeps only
+     * each executed layer's output, so the returned logits stay valid
+     * until the next forward. backward() needs none of them: every
+     * layer caches its own dropped input and activation. No dropout
+     * stream is consumed for skipped layers when `training` is false
+     * (the serving mode), so partial and full forwards stay
+     * bitwise-consistent.
      */
     const Matrix &forwardFrom(std::uint32_t first, const CsrGraph &a,
                               const Matrix &x, bool training,
                               const LayerHook &hook = {});
 
-    /** Backprop from d(loss)/d(logits); accumulates parameter grads. */
-    void backward(const CsrGraph &a, const Matrix &grad_logits);
+    /**
+     * Backprop from d(loss)/d(logits), top layer first; accumulates
+     * parameter grads. The optional `hook` runs once per layer between
+     * its backwardAgg and backwardPost (see LayerHook).
+     */
+    void backward(const CsrGraph &a, const Matrix &grad_logits,
+                  const LayerHook &hook = {});
 
     ParamRefs params();
 
@@ -90,10 +92,9 @@ class GnnModel
     std::vector<GnnLayer> &layers() { return layers_; }
 
     /**
-     * The dropout RNG stream. The sharded executor (dist::ShardedModel)
-     * drives the layer phase hooks directly and must consume this
-     * stream exactly like forward() does, so a 1-rank sharded run stays
-     * bitwise-identical to the single-device path.
+     * The dropout RNG stream every training forward draws from.
+     * Checkpoints save and restore it; a caller replaying the layer
+     * phases itself must draw from it exactly like forward() does.
      */
     Rng &dropoutRng() { return dropRng_; }
 
@@ -105,11 +106,11 @@ class GnnModel
     ModelConfig cfg_;
     Rng dropRng_;
     std::vector<GnnLayer> layers_;
-    std::vector<Matrix> acts_;  //!< acts_[l] = input of layer l
+    std::vector<Matrix> outs_;  //!< outs_[l] = output of layer l
 
     // Persistent backward ping-pong buffers: backward() alternates the
-    // upstream/downstream gradient between these two workspaces instead
-    // of moving locals (which would strand their storage and force a
+    // downstream gradient between these two workspaces instead of
+    // moving locals (which would strand their storage and force a
     // reallocation every epoch).
     Matrix gradCur_;
     Matrix gradPrev_;

@@ -21,25 +21,16 @@ namespace maxk::nn
 namespace
 {
 
-/**
- * Simulated latency of one SpMM of width dim on graph a. A configured
- * kernel variant (model- or launch-level, "auto" included) overrides
- * the legacy baseline enum and dispatches through the registry; the
- * enum keeps charging its historical kernels otherwise.
- */
+/** Simulated latency of one SpMM of width dim on graph a, charged to
+ *  the baseline kernel. */
 double
 baselineAggSeconds(const CsrGraph &a, const EdgeGroupPartition &part,
                    std::size_t dim, const SimOptions &opt,
-                   BaselineKernel baseline, std::string_view variant,
-                   Rng &rng)
+                   BaselineKernel baseline, Rng &rng)
 {
     Matrix x(a.numNodes(), dim);
     fillNormal(x, rng, 0.0f, 1.0f);
     Matrix y;
-    if (!variant.empty())
-        return kernels::resolveSpmmVariant(variant, a, dim, 0, opt)
-            .run(a, x, y, opt)
-            .totalSeconds;
     if (baseline == BaselineKernel::CuSparse)
         return kernels::defaultSpmmVariant().run(a, x, y, opt).totalSeconds;
     return spmmGnna(a, part, x, y, opt).totalSeconds;
@@ -102,7 +93,7 @@ profileEpoch(const ModelConfig &cfg, const CsrGraph &a,
             fillNormal(h, rng, 0.0f, 1.0f);
 
             CbsrMatrix pattern;
-            if (opt.fusedForward || cfg.fusedForward) {
+            if (cfg.fusedForward) {
                 // One launch: select+compress feeds the row-wise
                 // product on-chip. The select phase is still charged to
                 // the nonlinearity bucket so the Fig. 1 decomposition
@@ -145,17 +136,12 @@ profileEpoch(const ModelConfig &cfg, const CsrGraph &a,
                                           out_dim,
                                       opt.device);
             }
-            // Model-level variant beats the launch-level one; both beat
-            // the legacy baseline enum.
-            const std::string_view variant = !cfg.kernelVariant.empty()
-                                                 ? cfg.kernelVariant
-                                                 : opt.kernelVariant;
-            t.aggFwd += baselineAggSeconds(a, part, out_dim, opt,
-                                           baseline, variant, rng);
+            t.aggFwd +=
+                baselineAggSeconds(a, part, out_dim, opt, baseline, rng);
             // Backward SpMM on A^T (same structure for the symmetric
             // twins; identical traffic).
-            t.aggBwd += baselineAggSeconds(a, part, out_dim, opt,
-                                           baseline, variant, rng);
+            t.aggBwd +=
+                baselineAggSeconds(a, part, out_dim, opt, baseline, rng);
         }
     }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "core/cbsr.hh"
 #include "graph/generators.hh"
 #include "nn/distributed.hh"
 
@@ -127,6 +128,24 @@ TEST(Distributed, MaxkShrinksExchangeVolume)
                     maxk.exchangedBytes,
                 static_cast<double>(relu_row) / maxk_row, 1e-12);
     EXPECT_LT(maxk.total(), relu.total());
+}
+
+TEST(Distributed, ActivationRowBytesMatchCbsrAcrossIndexWidths)
+{
+    // 256 is the last width with uint8 indices; the model's wire row
+    // must match what a CbsrMatrix of that width actually stores.
+    for (const std::uint32_t hidden : {255u, 256u, 257u}) {
+        ModelConfig cfg = baseModel(Nonlinearity::MaxK, 32);
+        cfg.hiddenDim = hidden;
+        const CbsrMatrix cbsr(1, 32, hidden);
+        for (std::uint32_t l = 0; l + 1 < cfg.numLayers; ++l)
+            EXPECT_EQ(activationRowBytes(cfg, l),
+                      cbsr.dataRowBytes() + cbsr.indexRowBytes())
+                << "hidden " << hidden << " layer " << l;
+        EXPECT_EQ(activationRowBytes(cfg, cfg.numLayers - 1),
+                  Bytes(4) * cfg.outDim)
+            << "hidden " << hidden;
+    }
 }
 
 TEST(Distributed, ReplicaExactExchangeAccounting)

@@ -125,6 +125,16 @@ TEST(KernelRegistryDeathTest, ResolveRejectsTransposedVariant)
                  "transposed variant");
 }
 
+TEST(KernelRegistryDeathTest, ResolveRejectsNonSelectableVariant)
+{
+    // spmm_ref reports zero stats, so it must never resolve: it would
+    // win any stats comparison.
+    Rng rng(7);
+    const CsrGraph g = erdosRenyi(50, 300, rng);
+    EXPECT_DEATH(kernels::resolveSpmmVariant("spmm_ref", g, 16),
+                 "not selectable");
+}
+
 TEST(KernelRegistry, AutoResolvesThroughSelectorWithReason)
 {
     const CsrGraph g = ringLattice(512, 8, false);

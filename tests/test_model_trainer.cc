@@ -2,16 +2,21 @@
  * @file
  * Tests for GnnModel and Trainer: stacking rules, learning progress on
  * SBM tasks for every model x nonlinearity combination, determinism,
- * and the simulated epoch profiler (Amdahl structure, MaxK < baseline).
+ * the backward layer-hook contract, and the simulated epoch profiler
+ * (Amdahl structure, MaxK < baseline, fused forward).
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "common/rng.hh"
 #include "graph/edge_groups.hh"
 #include "graph/generators.hh"
 #include "graph/registry.hh"
 #include "nn/trainer.hh"
+#include "tensor/init.hh"
 
 namespace maxk::nn
 {
@@ -101,6 +106,97 @@ TEST(GnnModel, ForwardDeterministicInEvalMode)
         model.forward(t.data.graph, t.data.features, false);
     EXPECT_TRUE(a.equals(b));
 }
+
+/** Copies of every parameter gradient, in params() order. */
+std::vector<Matrix>
+paramGrads(GnnModel &model)
+{
+    std::vector<Matrix> out;
+    for (const Param *p : model.params())
+        out.push_back(p->grad);
+    return out;
+}
+
+/** Largest |gradient| over one layer's parameters. */
+Float
+layerGradMax(GnnLayer &layer)
+{
+    ParamRefs refs;
+    layer.collectParams(refs);
+    Float m = 0.0f;
+    for (const Param *p : refs)
+        m = std::max(m, p->grad.maxAbs());
+    return m;
+}
+
+class BackwardHook
+    : public ::testing::TestWithParam<std::tuple<GnnKind, Nonlinearity>>
+{
+};
+
+TEST_P(BackwardHook, RunsTopDownBetweenPhasesAndKeepsGradientsBitwise)
+{
+    const auto [kind, nonlin] = GetParam();
+    TinyTask t;
+    ModelConfig cfg = tinyModel(kind, nonlin, t.task);
+    cfg.numLayers = 3;
+    CsrGraph &g = t.data.graph;
+    g.setAggregatorWeights(aggregatorFor(kind));
+    Matrix grad(g.numNodes(), cfg.outDim);
+    Rng rng(11);
+    fillNormal(grad, rng, 0.0f, 1.0f);
+
+    // Three identical fresh replicas, each after one training forward.
+    GnnModel ref(cfg), plain(cfg), hooked(cfg);
+    for (GnnModel *m : {&ref, &plain, &hooked}) {
+        m->forward(g, t.data.features, true);
+        for (Param *p : m->params())
+            p->resetGrad();
+    }
+
+    // Reference: each layer's own back-to-back backward, top down.
+    Matrix up = grad, dx;
+    for (std::size_t l = ref.layers().size(); l-- > 0;) {
+        ref.layers()[l].backward(g, up, dx);
+        std::swap(up, dx);
+    }
+    plain.backward(g, grad);
+
+    std::vector<std::uint32_t> order;
+    auto &layers = hooked.layers();
+    hooked.backward(g, grad, [&](std::uint32_t l, GnnLayer &layer) {
+        order.push_back(l);
+        EXPECT_EQ(&layer, &layers[l]);
+        // backwardAgg has run: a fresh layer has no reverse-aggregation
+        // buffer before its first backward ...
+        EXPECT_EQ(layer.activationIsCbsr() ? layer.gradAggCbsr().rows()
+                                           : layer.gradAggDense().rows(),
+                  g.numNodes());
+        // ... and backwardPost has not: this layer's parameter grads
+        // are still zero, while the layer above has accumulated.
+        EXPECT_EQ(layerGradMax(layer), 0.0f) << "layer " << l;
+        if (l + 1 < layers.size()) {
+            EXPECT_GT(layerGradMax(layers[l + 1]), 0.0f) << "layer " << l;
+        }
+    });
+    EXPECT_EQ(order, (std::vector<std::uint32_t>{2, 1, 0}));
+
+    const std::vector<Matrix> want = paramGrads(ref);
+    const std::vector<Matrix> got_plain = paramGrads(plain);
+    const std::vector<Matrix> got_hooked = paramGrads(hooked);
+    ASSERT_EQ(got_plain.size(), want.size());
+    ASSERT_EQ(got_hooked.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(got_plain[i].equals(want[i])) << "param " << i;
+        EXPECT_TRUE(got_hooked[i].equals(want[i])) << "param " << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SageGinMaxkRelu, BackwardHook,
+    ::testing::Combine(::testing::Values(GnnKind::Sage, GnnKind::Gin),
+                       ::testing::Values(Nonlinearity::MaxK,
+                                         Nonlinearity::Relu)));
 
 class TrainingConvergence
     : public ::testing::TestWithParam<std::tuple<GnnKind, Nonlinearity>>
@@ -320,6 +416,47 @@ TEST(ProfileEpoch, OptimizerSweepCountsTrueLayerShapes)
     wide.outDim = 2048;
     const EpochTiming tw = profileEpoch(wide, g, part, opt);
     EXPECT_GT(tw.other, tg.other);
+}
+
+TEST(ProfileEpoch, FusedForwardSavesOnlyOnTheMaxkForward)
+{
+    Rng rng(10);
+    CsrGraph g = rmat(9, 40000, rng);
+    g.setAggregatorWeights(Aggregator::SageMean);
+    const auto part = EdgeGroupPartition::build(g, 32);
+
+    SimOptions opt;
+    opt.device = gpusim::DeviceConfig::a100().scaledForWorkingSet(0.01);
+    // Cached stats depend on host heap addresses; without the cache
+    // model both profiles are exactly reproducible.
+    opt.simulateCaches = false;
+    for (const Nonlinearity nonlin :
+         {Nonlinearity::MaxK, Nonlinearity::Relu}) {
+        ModelConfig plain;
+        plain.kind = GnnKind::Sage;
+        plain.nonlin = nonlin;
+        plain.maxkK = 16;
+        plain.numLayers = 3;
+        plain.inDim = 64;
+        plain.hiddenDim = 128;
+        plain.outDim = 16;
+        ModelConfig fused = plain;
+        fused.fusedForward = true;
+
+        const EpochTiming tp = profileEpoch(plain, g, part, opt);
+        const EpochTiming tf = profileEpoch(fused, g, part, opt);
+        EXPECT_EQ(tf.linear, tp.linear);
+        EXPECT_EQ(tf.other, tp.other);
+        EXPECT_EQ(tf.aggBwd, tp.aggBwd);
+        if (nonlin == Nonlinearity::MaxK) {
+            // One launch instead of two, no sp_data round-trip.
+            EXPECT_LT(tf.aggFwd + tf.nonlin, tp.aggFwd + tp.nonlin);
+        } else {
+            // No MaxK layer: the flag changes nothing.
+            EXPECT_EQ(tf.aggFwd, tp.aggFwd);
+            EXPECT_EQ(tf.nonlin, tp.nonlin);
+        }
+    }
 }
 
 TEST(ProfileEpoch, GnnaBaselineSlowerThanCuSparse)
