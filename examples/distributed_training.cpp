@@ -6,8 +6,9 @@
  *  1. partition a community graph across simulated GPUs,
  *  2. profile the per-epoch compute + boundary-exchange costs for the
  *     ReLU baseline and MaxK-GNN,
- *  3. actually train a MaxK-GNN on one partition to show the local
- *     model still learns.
+ *  3. train a MaxK-GNN across the same partition with
+ *     dist::ShardedTrainer (one rank per part, CBSR halo exchange) and
+ *     check its measured halo traffic against the model's bytes.
  *
  * Usage: distributed_training [num_gpus]   (default 4)
  */
@@ -17,10 +18,10 @@
 
 #include "common/rng.hh"
 #include "common/table.hh"
+#include "dist/sharded_trainer.hh"
 #include "graph/partition.hh"
 #include "graph/registry.hh"
 #include "nn/distributed.hh"
-#include "nn/trainer.hh"
 
 using namespace maxk;
 
@@ -87,33 +88,29 @@ main(int argc, char **argv)
               formatFloat(t_maxk.total() * 1e3, 3)});
     std::printf("\n%s\n", t.render().c_str());
 
-    // 3. Train locally on partition 0.
-    std::vector<NodeId> ids;
-    TrainingData local;
-    local.graph = extractSubgraph(data.graph, part.members(0), &ids);
-    const NodeId n = local.graph.numNodes();
-    local.features.resize(n, task.featureDim);
-    for (NodeId v = 0; v < n; ++v) {
-        std::copy(data.features.row(ids[v]),
-                  data.features.row(ids[v]) + task.featureDim,
-                  local.features.row(v));
-        local.labels.push_back(data.labels[ids[v]]);
-        local.trainMask.push_back(data.trainMask[ids[v]]);
-        local.valMask.push_back(data.valMask[ids[v]]);
-        local.testMask.push_back(data.testMask[ids[v]]);
-    }
-    std::printf("training MaxK-GNN on partition 0 (%u nodes)...\n", n);
-
-    nn::ModelConfig local_cfg = maxk;
-    local_cfg.hiddenDim = 64;
-    local_cfg.maxkK = 8; // density-scaled
-    nn::GnnModel model(local_cfg);
-    nn::Trainer trainer(model, local, task);
+    // 3. Train across the partition, one rank per part.
+    nn::ModelConfig train_cfg = maxk;
+    train_cfg.hiddenDim = 64;
+    train_cfg.maxkK = 8; // density-scaled
+    std::printf("training MaxK-GNN on %u ranks...\n", gpus);
+    dist::ShardedTrainer trainer(train_cfg, data, task, part);
     nn::TrainConfig tc;
     tc.epochs = 60;
     tc.evalEvery = 20;
-    const auto r = trainer.run(tc);
-    std::printf("partition-local test accuracy: %.4f (chance %.4f)\n",
-                r.finalTestMetric, 1.0 / task.numClasses);
+    const dist::ShardedTrainResult r = trainer.run(tc);
+    std::printf("sharded test accuracy: %.4f (chance %.4f)\n",
+                r.train.finalTestMetric, 1.0 / task.numClasses);
+
+    const nn::DistributedEpochTiming model = nn::profileDistributedEpoch(
+        train_cfg, data.graph, part, cluster, opt);
+    const std::uint64_t model_bytes = model.exchangedBytes * tc.epochs;
+    std::printf("halo bytes over %u epochs: measured %llu, model %llu\n",
+                tc.epochs,
+                static_cast<unsigned long long>(r.trainHaloBytes),
+                static_cast<unsigned long long>(model_bytes));
+    if (r.trainHaloBytes != model_bytes) {
+        std::fprintf(stderr, "measured halo bytes != model\n");
+        return 1;
+    }
     return 0;
 }

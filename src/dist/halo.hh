@@ -12,7 +12,8 @@
  * values once the halo rows hold the owners' activations. Because a
  * vertex adjacent to three remote parts appears in three halo sets, the
  * plan is replica-exact: totalReplicas() equals
- * nn::boundaryReplicaCount() and the analytical exchange model.
+ * nn::boundaryReplicaCount(), the count the profileDistributedEpoch
+ * oracle charges.
  *
  * The per-layer exchange is a flat gather → send → scatter: sendRows
  * (per destination) gather local rows into one buffer per peer,

@@ -1,7 +1,8 @@
 /**
  * @file
- * Rank-parallel full-batch trainer: really runs the partition-parallel
- * deployment that nn/distributed.hh models analytically.
+ * Rank-parallel full-batch trainer: executes the partition-parallel
+ * deployment whose cost nn/distributed.hh prices; that model is the
+ * oracle its measured halo traffic is checked against.
  *
  * One CommWorld thread per rank trains a full model replica on its
  * shard (dist/sharded_model.hh): per-layer halo exchange of boundary
@@ -21,7 +22,7 @@
  *    allocations across ALL ranks, including the loss path
  *    (AllocProbe-enforced, reported in steadyStateAllocCount);
  *  - measured Halo-channel traffic reconciles exactly with the
- *    corrected profileDistributedEpoch model:
+ *    profileDistributedEpoch oracle:
  *    trainHaloBytes == exchangedBytes * epochs.
  */
 

@@ -8,22 +8,13 @@
 namespace maxk::nn
 {
 
-std::vector<std::uint64_t>
-boundaryCounts(const CsrGraph &g, const Partition &p)
+namespace
 {
-    checkInvariant(p.assignment.size() == g.numNodes(),
-                   "boundaryCounts: partition size mismatch");
-    std::vector<std::uint64_t> counts(p.numParts, 0);
-    for (NodeId v = 0; v < g.numNodes(); ++v) {
-        const std::uint32_t home = p.assignment[v];
-        bool boundary = false;
-        for (EdgeId e = g.rowPtr()[v];
-             e < g.rowPtr()[v + 1] && !boundary; ++e)
-            boundary = p.assignment[g.colIdx()[e]] != home;
-        counts[home] += boundary ? 1 : 0;
-    }
-    return counts;
-}
+
+/** Per-GPU NVLink all-to-all bandwidth the exchange is charged at. */
+constexpr double kNvlinkBytesPerSecond = 300.0e9;
+
+} // namespace
 
 std::uint64_t
 boundaryReplicaCount(const CsrGraph &g, const Partition &p)
@@ -107,23 +98,15 @@ profileDistributedEpoch(const ModelConfig &cfg, const CsrGraph &g,
     // layer, forward and backward — which is what the sharded executor
     // (dist::HaloExchange) actually sends. MaxK layers ship CBSR rows,
     // the final layer and ReLU models ship dense rows.
-    const auto counts = boundaryCounts(g, part);
-    std::uint64_t boundary = 0;
-    for (std::uint64_t c : counts)
-        boundary += c;
-    result.boundaryNodes = static_cast<std::uint64_t>(
-        boundary * cluster.boundarySampleRate);
-
-    const std::uint64_t replicas = static_cast<std::uint64_t>(
-        boundaryReplicaCount(g, part) * cluster.boundarySampleRate);
-    result.boundaryReplicas = replicas;
+    result.boundaryReplicas = boundaryReplicaCount(g, part);
 
     Bytes per_replica = 0;
     for (std::uint32_t l = 0; l < cfg.numLayers; ++l)
         per_replica += activationRowBytes(cfg, l);
-    result.exchangedBytes = Bytes(replicas) * per_replica * 2; // fwd+bwd
+    result.exchangedBytes =
+        Bytes(result.boundaryReplicas) * per_replica * 2; // fwd+bwd
     result.exchangeSeconds = static_cast<double>(result.exchangedBytes) /
-                             (cluster.nvlinkGBs * 1e9);
+                             kNvlinkBytesPerSecond;
     return result;
 }
 

@@ -1,26 +1,24 @@
 /**
  * @file
- * Partition-parallel full-graph training model (BNS-GCN-style).
+ * Analytical cost of one partition-parallel training epoch: the oracle
+ * the executed dist::ShardedTrainer is checked against.
  *
  * The paper argues (Sec. 1) that MaxK-GNN composes with
- * partition-parallel training: each GPU holds one graph partition,
- * boundary-node features are exchanged every layer, and the aggregation
- * kernels run unchanged within each partition. This module models that
- * deployment: per-partition simulated compute (from profileEpoch on the
- * partition subgraph) plus an all-to-all boundary-feature exchange
- * charged against NVLink bandwidth. It quantifies two effects:
- *
- *  - MaxK shrinks the exchanged features too (CBSR: (4+idx)*k bytes vs
- *    4*dim bytes per boundary node per layer), compounding its win;
- *  - boundary sampling (the BNS trick) trades exchange volume for
- *    accuracy, orthogonally to MaxK.
+ * partition-parallel (BNS-GCN-style) training: each GPU holds one graph
+ * partition, boundary-node features are exchanged every layer, and the
+ * aggregation kernels run unchanged within each partition. This module
+ * prices that deployment: per-partition simulated compute (from
+ * profileEpoch on the partition subgraph) plus a replica-exact boundary
+ * exchange charged against NVLink bandwidth. MaxK shrinks the exchanged
+ * features too (CBSR: (4+idx)*k bytes vs 4*dim bytes per boundary
+ * replica per layer), compounding its win. The measured Halo-channel
+ * traffic of a sharded run equals exchangedBytes * epochs exactly.
  */
 
 #ifndef MAXK_NN_DISTRIBUTED_HH
 #define MAXK_NN_DISTRIBUTED_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/csr.hh"
 #include "graph/partition.hh"
@@ -31,12 +29,10 @@
 namespace maxk::nn
 {
 
-/** Interconnect + deployment parameters. */
+/** Deployment parameters. */
 struct ClusterConfig
 {
     std::uint32_t numGpus = 4;
-    double nvlinkGBs = 300.0;      //!< per-GPU all-reduce bandwidth
-    double boundarySampleRate = 1.0; //!< BNS-GCN keeps this fraction
 };
 
 /** Per-epoch decomposition of a partition-parallel run. */
@@ -45,19 +41,11 @@ struct DistributedEpochTiming
     double computeSeconds = 0.0;   //!< slowest partition's kernel time
     double exchangeSeconds = 0.0;  //!< boundary feature all-to-all
     double imbalance = 1.0;        //!< max/mean over non-empty partitions
-    std::uint64_t boundaryNodes = 0;    //!< distinct boundary vertices
     std::uint64_t boundaryReplicas = 0; //!< per-destination send copies
     Bytes exchangedBytes = 0;
 
     double total() const { return computeSeconds + exchangeSeconds; }
 };
-
-/**
- * Count boundary nodes of each partition: vertices with at least one
- * neighbour in a different part (their features must be exchanged).
- */
-std::vector<std::uint64_t> boundaryCounts(const CsrGraph &g,
-                                          const Partition &p);
 
 /**
  * Replica-exact exchange count: every (vertex, remote reader part) pair
@@ -84,8 +72,9 @@ Bytes activationRowBytes(const ModelConfig &cfg, std::uint32_t layer);
  *
  * Compute: profileEpoch on each partition's induced subgraph; the
  * epoch waits for the slowest. Exchange: every layer moves each
- * boundary node's feature row to the partitions that read it — dense
- * rows for ReLU models, CBSR rows for MaxK models.
+ * boundary replica's row forward and its partial gradient back —
+ * dense rows for ReLU models, CBSR rows for MaxK models — at 300 GB/s
+ * of NVLink bandwidth per GPU.
  */
 DistributedEpochTiming profileDistributedEpoch(
     const ModelConfig &cfg, const CsrGraph &g, const Partition &part,

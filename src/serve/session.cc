@@ -29,6 +29,10 @@ constexpr std::uint32_t kServeBatchTag = 0x00CA11EDu;
 /** Tag separating the presample seed-draw stream from everything else. */
 constexpr std::uint64_t kPresampleTag = 0xF12E9CA9ull;
 
+/** Pre-sampling rounds for the frequency ranking (each round samples
+ *  one batchCapacity-sized uniform seed set). */
+constexpr std::uint32_t kPresampleBatches = 8;
+
 /** Batches before the steady-state allocation window opens. */
 constexpr std::size_t kWarmupBatches = 2;
 
@@ -122,19 +126,13 @@ ServeSession::presampleAndPin()
     if (cacheable == 0)
         pin_count = 0; // a 1-layer model has no cacheable activations
 
-    if (cacheable > 0 && !cfg_.pinnedOverride.empty()) {
-        // Persisted pinned set (e.g. restored from a checkpoint): pin
-        // exactly these vertices, bypassing the presample ranking. The
-        // EmbeddingCache constructor enforces uniqueness and range.
-        pinned_ = cfg_.pinnedOverride;
-        pin_count = static_cast<NodeId>(pinned_.size());
-    } else if (pin_count > 0) {
+    if (pin_count > 0) {
         // FGNN pre-sampling: run the serving sampler over uniform seed
         // batches and count how often each vertex lands in a sampled
         // block; hot (high-frequency) vertices are the ones steady-state
         // traffic keeps re-expanding.
         std::vector<std::uint64_t> freq(n, 0);
-        for (std::uint32_t r = 0; r < cfg_.presampleBatches; ++r) {
+        for (std::uint32_t r = 0; r < kPresampleBatches; ++r) {
             Rng rng(rngKey(cfg_.seed, kPresampleTag, r));
             seedsWs_.clear();
             for (std::uint32_t i = 0; i < cfg_.batchCapacity; ++i)

@@ -93,10 +93,6 @@ struct ServeConfig
     /** Extra LRU slots per layer admitting non-pinned vertices. */
     std::uint32_t lruSlots = 0;
 
-    /** Pre-sampling rounds for the frequency ranking (each round
-     *  samples one batchCapacity-sized uniform seed set). */
-    std::uint32_t presampleBatches = 8;
-
     /** Simulated device for the structural cost model. */
     gpusim::DeviceConfig device = gpusim::DeviceConfig::a100();
 
@@ -136,14 +132,6 @@ struct ServeConfig
      * simulated p99 of the served requests under overload.
      */
     bool shedOnOverload = false;
-
-    /**
-     * Non-empty: pin exactly these vertices instead of running the
-     * presample frequency ranking (restoring a persisted pinned set from
-     * a checkpoint). Entries must be unique and < |V| (fatal otherwise,
-     * via the EmbeddingCache invariants).
-     */
-    std::vector<NodeId> pinnedOverride;
 
     /** Optional fault injector (site "serve.replay": a ServeBurst spec
      *  appends `payload` deterministic requests to the trace tail). Not

@@ -228,12 +228,6 @@ TEST(Partition, ReplicaCountMatchesNaiveReference)
         expected += readers.size();
     }
     EXPECT_EQ(nn::boundaryReplicaCount(g, p), expected);
-    // Replicas >= distinct boundary nodes, strictly more when any node
-    // borders several parts.
-    std::uint64_t distinct = 0;
-    for (std::uint64_t c : nn::boundaryCounts(g, p))
-        distinct += c;
-    EXPECT_GE(nn::boundaryReplicaCount(g, p), distinct);
 }
 
 TEST(Sampling, FractionRoughlyHonoured)

@@ -295,8 +295,9 @@ TEST(CbsrBackwardEndToEnd, SageMaxkGradStepMatchesDenseReference)
 }
 
 /**
- * GnnLayerConfig::fusedForward selects the fused cost model but must
- * not perturb the functional path: identical training trajectories.
+ * ModelConfig::fusedForward selects the fused cost model (only
+ * profileEpoch reads it) but must not perturb the functional path:
+ * identical training trajectories.
  */
 TEST(FusedForwardFlag, TrainingTrajectoryIsBitwiseIdentical)
 {
