@@ -47,7 +47,7 @@ struct GraphResult
  * Perf-report pass (--json): rerun each kernel with the cache model off
  * so every recorded byte is structural — deterministic across runs and
  * machines, which is what lets tools/maxk-perf-check hold tight
- * regression thresholds against bench/baselines/fig8_smoke.json. Each
+ * regression thresholds against bench/baselines/fig8_kernels.json. Each
  * configuration is warmed once so the records capture the steady-state
  * (zero-allocation) launch.
  */

@@ -98,8 +98,6 @@ main(int argc, char **argv)
     tc.epochs = 60;
     tc.evalEvery = 20;
     const dist::ShardedTrainResult r = trainer.run(tc);
-    std::printf("sharded test accuracy: %.4f (chance %.4f)\n",
-                r.train.finalTestMetric, 1.0 / task.numClasses);
 
     const nn::DistributedEpochTiming model = nn::profileDistributedEpoch(
         train_cfg, data.graph, part, cluster, opt);

@@ -38,7 +38,7 @@ cbsrGemm(const CbsrMatrix &h, const Matrix &w, Matrix &y,
         }
         ctx.globalWrite(warp, yr, out * sizeof(Float));
     }
-    return ctx.finish(opt.efficiency);
+    return ctx.finish();
 }
 
 gpusim::KernelStats
@@ -75,7 +75,7 @@ cbsrGemmBackwardData(const CbsrMatrix &h, const Matrix &w,
         }
         ctx.globalWrite(warp, gd, dh.dataRowBytes());
     }
-    return ctx.finish(opt.efficiency);
+    return ctx.finish();
 }
 
 gpusim::KernelStats
@@ -112,7 +112,7 @@ cbsrGemmBackwardWeight(const CbsrMatrix &h, const Matrix &dy, Matrix &dw,
             ctx.globalAtomicAccum(warp, wr, out * sizeof(Float));
         }
     }
-    return ctx.finish(opt.efficiency);
+    return ctx.finish();
 }
 
 } // namespace maxk

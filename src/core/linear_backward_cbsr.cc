@@ -107,7 +107,8 @@ linearBackwardCbsrSimSeconds(std::uint64_t n, std::uint64_t in_dim,
                          static_cast<double>(n) * k;
     const double cbsr_bytes =
         static_cast<double>(n) * k *
-        (sizeof(Float) + (out_dim <= 256 ? 1 : 2));
+        (sizeof(Float) +
+         CbsrMatrix::indexBytesFor(static_cast<std::uint32_t>(out_dim)));
     const double bytes =
         4.0 * (static_cast<double>(n) * in_dim +          // X read (dW)
                static_cast<double>(in_dim) * out_dim +    // W read (dX)

@@ -293,7 +293,7 @@ maxkCompress(const Matrix &x, std::uint32_t k, const SimOptions &opt,
     }
     result.avgPivotIterations =
         n ? static_cast<double>(total_iters) / n : 0.0;
-    result.stats = ctx.finish(opt.efficiency);
+    result.stats = ctx.finish();
 }
 
 void

@@ -136,7 +136,7 @@ spgemmForward(const CsrGraph &a, const EdgeGroupPartition &part,
     gpusim::KernelContext ctx(opt.device, "spgemm_forward",
                               opt.simulateCaches);
     runAggregation(ctx, a, part, xs, y, opt, /*data_onchip=*/false);
-    return ctx.finish(opt.efficiency);
+    return ctx.finish();
 }
 
 gpusim::KernelStats
@@ -198,7 +198,7 @@ spgemmForwardFused(const CsrGraph &a, const EdgeGroupPartition &part,
     // Stage 2 — identical arithmetic to spgemmForward, with the sp_data
     // fetches charged on-chip.
     runAggregation(ctx, a, part, xs, y, opt, /*data_onchip=*/true);
-    return ctx.finish(opt.efficiency);
+    return ctx.finish();
 }
 
 } // namespace maxk

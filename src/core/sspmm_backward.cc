@@ -125,7 +125,7 @@ sspmmBackward(const CsrGraph &a, const EdgeGroupPartition &part,
     if (chunks.size() <= 1) {
         if (!chunks.empty())
             walk(ctx, chunks[0], true);
-        return ctx.finish(opt.efficiency);
+        return ctx.finish();
     }
 
     gpusim::runSharded(ctx, chunks, [&](auto &dev, std::uint32_t,
@@ -138,7 +138,7 @@ sspmmBackward(const CsrGraph &a, const EdgeGroupPartition &part,
     // the same values the serial loop's prefetch buffer (or the
     // no-prefetch ablation) consumed.
     gatherTransposedCbsr(a, dxl, dxs, opt.threads);
-    return ctx.finish(opt.efficiency);
+    return ctx.finish();
 }
 
 } // namespace maxk

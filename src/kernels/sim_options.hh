@@ -32,13 +32,6 @@ struct SimOptions
     std::uint32_t workloadCap = 32;
 
     /**
-     * Relative efficiency of the kernel implementation (1.0 = fully
-     * tuned). The GNNAdvisor baseline models its measured gap to
-     * cuSPARSE with a value < 1.
-     */
-    double efficiency = 1.0;
-
-    /**
      * Ablation: when false, the forward SpGEMM skips the shared-memory
      * accumulation buffer and scatter-accumulates each product directly
      * into global memory (the design the paper's buffer avoids).

@@ -11,7 +11,7 @@ namespace maxk
 
 gpusim::KernelStats
 spmmGnna(const CsrGraph &a, const EdgeGroupPartition &part, const Matrix &x,
-         Matrix &y, SimOptions opt)
+         Matrix &y, const SimOptions &opt)
 {
     checkInvariant(x.rows() == a.numNodes(), "spmmGnna: X row count != |V|");
     checkInvariant(part.covers(a), "spmmGnna: partition does not cover A");
@@ -20,9 +20,6 @@ spmmGnna(const CsrGraph &a, const EdgeGroupPartition &part, const Matrix &x,
     // double-fill (the setZero below is the only write before accumulate).
     y.ensureShape(a.numNodes(), dim);
     y.setZero();
-
-    if (opt.efficiency == 1.0)
-        opt.efficiency = kGnnaEfficiency;
 
     gpusim::KernelContext ctx(opt.device, "spmm_gnna", opt.simulateCaches);
     ctx.beginPhase("compute+accumulate");
@@ -78,7 +75,7 @@ spmmGnna(const CsrGraph &a, const EdgeGroupPartition &part, const Matrix &x,
             dev.globalAtomicAccum(warp, yr, dim * sizeof(Float));
         }
     });
-    return ctx.finish(opt.efficiency);
+    return ctx.finish(kGnnaEfficiency);
 }
 
 } // namespace maxk

@@ -30,7 +30,7 @@
 namespace maxk
 {
 
-/** Default efficiency factor modelling GNNAdvisor's tuning gap. */
+/** Efficiency factor modelling GNNAdvisor's tuning gap. */
 constexpr double kGnnaEfficiency = 0.78;
 
 /**
@@ -42,7 +42,7 @@ constexpr double kGnnaEfficiency = 0.78;
 gpusim::KernelStats spmmGnna(const CsrGraph &a,
                              const EdgeGroupPartition &part,
                              const Matrix &x, Matrix &y,
-                             SimOptions opt = {});
+                             const SimOptions &opt = {});
 
 } // namespace maxk
 

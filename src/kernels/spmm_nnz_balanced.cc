@@ -98,7 +98,7 @@ spmmNnzBalanced(const CsrGraph &a, const Matrix &x, Matrix &y,
             }
         }
     });
-    return ctx.finish(opt.efficiency);
+    return ctx.finish();
 }
 
 } // namespace maxk

@@ -66,7 +66,7 @@ spmmOuterNaive(const CsrGraph &a, const Matrix &x, Matrix &y,
     if (chunks.size() <= 1) {
         if (!chunks.empty())
             walk(ctx, chunks[0], true);
-        return ctx.finish(opt.efficiency);
+        return ctx.finish();
     }
 
     gpusim::runSharded(ctx, chunks, [&](auto &dev, std::uint32_t,
@@ -75,7 +75,7 @@ spmmOuterNaive(const CsrGraph &a, const Matrix &x, Matrix &y,
     });
 
     gatherTransposedDense(a, x, y, opt.threads);
-    return ctx.finish(opt.efficiency);
+    return ctx.finish();
 }
 
 } // namespace maxk

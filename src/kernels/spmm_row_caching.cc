@@ -125,9 +125,7 @@ spmmRowCaching(const CsrGraph &a, const Matrix &x, Matrix &y,
             }
         }
     });
-    const double eff = opt.efficiency == 1.0 ? kRowCachingEfficiency
-                                             : opt.efficiency;
-    return ctx.finish(eff);
+    return ctx.finish(kRowCachingEfficiency);
 }
 
 } // namespace maxk

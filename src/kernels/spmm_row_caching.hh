@@ -33,8 +33,7 @@ constexpr std::uint32_t kRowCacheTileGroups = 8;
 
 /** Sustained-throughput derate for the staged schedule: the
  *  stage/consume barriers serialise the block and the shared-memory
- *  footprint costs occupancy, so the roofline bound is not reached.
- *  Applied when SimOptions::efficiency is left at its default 1.0. */
+ *  footprint costs occupancy, so the roofline bound is not reached. */
 constexpr double kRowCachingEfficiency = 0.92;
 
 /** Y = A * X with the row-caching kernel. Bitwise-identical to

@@ -70,7 +70,7 @@ spmmRowWise(const CsrGraph &a, const Matrix &x, Matrix &y,
             dev.globalWrite(warp, yr, dim * sizeof(Float));
         }
     });
-    return ctx.finish(opt.efficiency);
+    return ctx.finish();
 }
 
 } // namespace maxk

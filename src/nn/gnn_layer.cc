@@ -151,18 +151,6 @@ GnnLayer::effectiveK() const
 }
 
 void
-GnnLayer::forward(const CsrGraph &a, const Matrix &x, Matrix &out,
-                  bool training, Rng &rng)
-{
-    checkInvariant(x.rows() == a.numNodes(),
-                   "GnnLayer::forward: feature row count != |V|");
-    // The two phases back-to-back; GnnModel calls them separately to
-    // run its layer hook (halo exchange, serving cache) in between.
-    forwardCompute(x, training, rng);
-    forwardCombine(a, out);
-}
-
-void
 GnnLayer::forwardCompute(const Matrix &x, bool training, Rng &rng)
 {
     dropout_.forward(x, xDropped_, training, rng);
@@ -219,17 +207,6 @@ GnnLayer::forwardCombine(const CsrGraph &a, Matrix &out)
             axpy(out, w, hDense_);
         }
     }
-}
-
-void
-GnnLayer::backward(const CsrGraph &a, const Matrix &d_out, Matrix &dx)
-{
-    checkInvariant(d_out.rows() == a.numNodes(),
-                   "GnnLayer::backward: gradient row count != |V|");
-    // Phase split mirrors forward(): GnnModel runs its layer hook (the
-    // reverse halo exchange) between the two calls.
-    backwardAgg(a, d_out);
-    backwardPost(a, d_out, dx);
 }
 
 void

@@ -66,36 +66,19 @@ class GnnLayer
     GnnLayer(const GnnLayerConfig &cfg, std::size_t in_dim,
              std::size_t out_dim, Rng &rng, const std::string &name);
 
-    /**
-     * Forward pass; caches intermediates for backward.
-     *
-     * @param a        adjacency with this model's aggregator weights
-     * @param x        input features (N x in_dim)
-     * @param out      output (N x out_dim)
-     * @param training enables dropout
-     * @param rng      dropout stream
-     */
-    void forward(const CsrGraph &a, const Matrix &x, Matrix &out,
-                 bool training, Rng &rng);
-
-    /**
-     * Backward pass using the cached forward state. Accumulates
-     * parameter gradients and produces dx.
-     *
-     * The structural transpose is never materialised: CSR(A) is CSC(A^T)
-     * so the same arrays serve the reverse aggregation, as in the
-     * paper's SSpMM (Fig. 5).
-     */
-    void backward(const CsrGraph &a, const Matrix &d_out, Matrix &dx);
-
     /*
-     * Phase hooks. GnnModel runs every layer through these with its
-     * LayerHook in between: the sharded executor exchanges boundary
-     * activation rows between the nonlinearity and the aggregation (the
-     * point where MaxK models carry CBSR rows — the paper's compounding
-     * communication win), and partial gradients between the reverse
-     * aggregation and the rest of the backward pass. forward() and
-     * backward() above are the same phases back-to-back.
+     * The layer runs as two forward and two backward phases. A full
+     * forward is forwardCompute() then forwardCombine(); a full backward
+     * (accumulating parameter gradients and producing dx from the cached
+     * forward state) is backwardAgg() then backwardPost(). GnnModel runs
+     * every layer this way with its LayerHook in between: the sharded
+     * executor exchanges boundary activation rows between the
+     * nonlinearity and the aggregation (the point where MaxK models
+     * carry CBSR rows — the paper's compounding communication win), and
+     * partial gradients between the reverse aggregation and the rest of
+     * the backward pass. The structural transpose is never
+     * materialised: CSR(A) is CSC(A^T), so the same arrays serve the
+     * reverse aggregation, as in the paper's SSpMM (Fig. 5).
      */
 
     /** Forward phase 1: dropout + Linear1 + nonlinearity (no

@@ -77,9 +77,9 @@ profileEpoch(const ModelConfig &cfg, const CsrGraph &a,
         t.linear += linears * fwd;
         if (maxk_layer) {
             // The primary linear's upstream gradient stays in CBSR form
-            // (GnnLayer::backward never densifies it), so its dW/dX pass
-            // is the sparse kernel; SAGE's self path still sees the
-            // dense d_out.
+            // (the layer's backward phases never densify it), so its
+            // dW/dX pass is the sparse kernel; SAGE's self path still
+            // sees the dense d_out.
             t.linear += linearBackwardCbsrSimSeconds(n, in_dim, out_dim,
                                                      k, opt.device);
             t.linear += (linears - 1) * (bwd_dw + bwd_dx);

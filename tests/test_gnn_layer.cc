@@ -60,7 +60,8 @@ TEST(GnnLayer, GcnReluForwardMatchesReference)
     GnnLayer layer(makeCfg(GnnKind::Gcn, Nonlinearity::Relu), 8, 6, rng,
                    "t");
     Matrix out;
-    layer.forward(f.g, f.x, out, false, f.rng);
+    layer.forwardCompute(f.x, false, f.rng);
+    layer.forwardCombine(f.g, out);
 
     ParamRefs params;
     layer.collectParams(params);
@@ -81,7 +82,8 @@ TEST(GnnLayer, GcnMaxkForwardMatchesReference)
     GnnLayer layer(makeCfg(GnnKind::Gcn, Nonlinearity::MaxK, 3), 8, 6,
                    rng, "t");
     Matrix out;
-    layer.forward(f.g, f.x, out, false, f.rng);
+    layer.forwardCompute(f.x, false, f.rng);
+    layer.forwardCombine(f.g, out);
 
     ParamRefs params;
     layer.collectParams(params);
@@ -102,7 +104,8 @@ TEST(GnnLayer, SageAddsSelfPath)
     GnnLayer layer(makeCfg(GnnKind::Sage, Nonlinearity::Relu), 8, 6, rng,
                    "t");
     Matrix out;
-    layer.forward(f.g, f.x, out, false, f.rng);
+    layer.forwardCompute(f.x, false, f.rng);
+    layer.forwardCombine(f.g, out);
 
     ParamRefs params;
     layer.collectParams(params);
@@ -129,7 +132,8 @@ TEST(GnnLayer, GinAddsEpsScaledActivation)
     cfg.ginEps = 0.25f;
     GnnLayer layer(cfg, 8, 6, rng, "t");
     Matrix out;
-    layer.forward(f.g, f.x, out, false, f.rng);
+    layer.forwardCompute(f.x, false, f.rng);
+    layer.forwardCombine(f.g, out);
 
     ParamRefs params;
     layer.collectParams(params);
@@ -152,7 +156,8 @@ TEST(GnnLayer, GinMaxkDirectPathUsesSparseActivation)
     cfg.ginEps = 0.5f;
     GnnLayer layer(cfg, 8, 6, rng, "t");
     Matrix out;
-    layer.forward(f.g, f.x, out, false, f.rng);
+    layer.forwardCompute(f.x, false, f.rng);
+    layer.forwardCombine(f.g, out);
 
     ParamRefs params;
     layer.collectParams(params);
@@ -179,8 +184,10 @@ TEST(GnnLayer, LastLayerSkipsNonlinearityForBothVariants)
         makeCfg(GnnKind::Gcn, Nonlinearity::MaxK, 4, true), 8, 5, rng2,
         "b");
     Matrix out_relu, out_maxk;
-    relu_layer.forward(f.g, f.x, out_relu, false, f.rng);
-    maxk_layer.forward(f.g, f.x, out_maxk, false, f.rng);
+    relu_layer.forwardCompute(f.x, false, f.rng);
+    relu_layer.forwardCombine(f.g, out_relu);
+    maxk_layer.forwardCompute(f.x, false, f.rng);
+    maxk_layer.forwardCombine(f.g, out_maxk);
     // Same seed -> same weights -> identical dense last-layer outputs.
     EXPECT_TRUE(maxk::test::matricesNear(out_relu, out_maxk, 1e-6f));
 }
@@ -208,12 +215,14 @@ gradientCheck(GnnKind kind, Nonlinearity nonlin)
     GnnLayer layer(cfg, 6, 5, rng, "t");
 
     Matrix out;
-    layer.forward(f.g, f.x, out, false, f.rng);
+    layer.forwardCompute(f.x, false, f.rng);
+    layer.forwardCombine(f.g, out);
     const double base = out.sum();
 
     Matrix d_out(out.rows(), out.cols(), 1.0f);
     Matrix dx;
-    layer.backward(f.g, d_out, dx);
+    layer.backwardAgg(f.g, d_out);
+    layer.backwardPost(f.g, d_out, dx);
 
     ParamRefs params;
     layer.collectParams(params);
@@ -226,7 +235,8 @@ gradientCheck(GnnKind kind, Nonlinearity nonlin)
         xp.at(r, c) += eps;
         Matrix outp;
         GnnLayer probe = layer; // copy (same weights, fresh cache)
-        probe.forward(f.g, xp, outp, false, f.rng);
+        probe.forwardCompute(xp, false, f.rng);
+        probe.forwardCombine(f.g, outp);
         const double numeric = (outp.sum() - base) / eps;
         EXPECT_NEAR(dx.at(r, c), numeric, 6e-2)
             << gnnKindName(kind) << "/" << nonlinearityName(nonlin)
@@ -240,7 +250,8 @@ gradientCheck(GnnKind kind, Nonlinearity nonlin)
         probe.collectParams(pp);
         pp[0]->value.at(i, j) += eps;
         Matrix outp;
-        probe.forward(f.g, f.x, outp, false, f.rng);
+        probe.forwardCompute(f.x, false, f.rng);
+        probe.forwardCombine(f.g, outp);
         const double numeric = (outp.sum() - base) / eps;
         EXPECT_NEAR(params[0]->grad.at(i, j), numeric, 6e-2)
             << gnnKindName(kind) << "/" << nonlinearityName(nonlin)
@@ -281,10 +292,13 @@ TEST(GnnLayer, DropoutOnlyActiveInTraining)
     cfg.dropout = 0.5f;
     GnnLayer layer(cfg, 8, 6, rng, "t");
     Matrix out_eval1, out_eval2, out_train;
-    layer.forward(f.g, f.x, out_eval1, false, f.rng);
-    layer.forward(f.g, f.x, out_eval2, false, f.rng);
+    layer.forwardCompute(f.x, false, f.rng);
+    layer.forwardCombine(f.g, out_eval1);
+    layer.forwardCompute(f.x, false, f.rng);
+    layer.forwardCombine(f.g, out_eval2);
     EXPECT_TRUE(out_eval1.equals(out_eval2)); // eval is deterministic
-    layer.forward(f.g, f.x, out_train, true, f.rng);
+    layer.forwardCompute(f.x, true, f.rng);
+    layer.forwardCombine(f.g, out_train);
     EXPECT_FALSE(out_train.equals(out_eval1)); // dropout perturbs
 }
 

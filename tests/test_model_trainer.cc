@@ -154,10 +154,12 @@ TEST_P(BackwardHook, RunsTopDownBetweenPhasesAndKeepsGradientsBitwise)
             p->resetGrad();
     }
 
-    // Reference: each layer's own back-to-back backward, top down.
+    // Reference: each layer's own two backward phases back-to-back,
+    // top down.
     Matrix up = grad, dx;
     for (std::size_t l = ref.layers().size(); l-- > 0;) {
-        ref.layers()[l].backward(g, up, dx);
+        ref.layers()[l].backwardAgg(g, up);
+        ref.layers()[l].backwardPost(g, up, dx);
         std::swap(up, dx);
     }
     plain.backward(g, grad);
