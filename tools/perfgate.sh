@@ -1,37 +1,29 @@
 #!/usr/bin/env bash
-# Perf regression gate: run a bench with --json and compare the report
-# against its committed baseline with maxk-perf-check.
+# Perf regression gate: compare a bench's --json report against its
+# committed baseline with maxk-perf-check.
 #
-#   perfgate.sh <bench-binary> <checker-binary> <baseline.json> <out.json>
-#               [extra bench args...]
+#   perfgate.sh <checker-binary> <baseline.json> <report.json>
 #
-# The records are collected with the cache model off, so they are
-# deterministic across machines — see bench/bench_perf_kernels.cc.
-# MAXK_DATASET_DIR is cleared so a local dataset directory cannot swap a
-# baseline twin for a real graph. MAXK_PERF_BLESS=1 refreshes the
-# baseline from the current run instead of comparing (commit the result).
+# The report comes from the bench's smoke run (`<bench> --smoke --json
+# <report.json>`, registered in bench/CMakeLists.txt). Its records are
+# collected with the cache model off, so they are deterministic across
+# machines — see bench/bench_perf_kernels.cc. MAXK_PERF_BLESS=1 refreshes
+# the baseline from the report instead of comparing (commit the result).
 set -euo pipefail
 
-if [ "$#" -lt 4 ]; then
-    echo "usage: perfgate.sh <bench> <checker> <baseline.json> <out.json> [bench args...]" >&2
+if [ "$#" -ne 3 ]; then
+    echo "usage: perfgate.sh <checker> <baseline.json> <report.json>" >&2
     exit 2
 fi
 
-bench=$1
-checker=$2
-baseline=$3
-out=$4
-shift 4
-
-unset MAXK_DATASET_DIR
-mkdir -p "$(dirname "$out")"
-
-"$bench" --smoke --json "$out" "$@"
+checker=$1
+baseline=$2
+report=$3
 
 if [ "${MAXK_PERF_BLESS:-0}" = "1" ]; then
-    cp "$out" "$baseline"
+    cp "$report" "$baseline"
     echo "perfgate: blessed new baseline $baseline"
     exit 0
 fi
 
-exec "$checker" "$out" "$baseline"
+exec "$checker" "$report" "$baseline"
